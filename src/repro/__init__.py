@@ -21,15 +21,33 @@ batch runs — returning a :class:`SynthesisResult`; every error the
 flow raises deliberately derives from :class:`VaseError`.
 """
 
-from repro.compiler import CompilerOptions, compile_design
+from repro._imports import deferred_exports
 from repro.diagnostics import VaseError
-from repro.flow import FlowOptions, SynthesisResult, synthesize
-from repro.instrument import Tracer, metrics, trace_phase, tracing
-from repro.pipeline import ParallelOptions
-from repro.vass import analyze_source, parse_source
-from repro.verify import EquivalenceReport, verify_equivalence
 
 __version__ = "1.0.0"
+
+# Resolved on first use, so importing the package (as every ``vase``
+# command does) loads neither the flow nor numpy; see DESIGN.md,
+# "Import layering".
+__getattr__, __dir__ = deferred_exports(
+    globals(),
+    {
+        "CompilerOptions": "repro.compiler",
+        "compile_design": "repro.compiler",
+        "EquivalenceReport": "repro.verify",
+        "verify_equivalence": "repro.verify",
+        "FlowOptions": "repro.flow",
+        "SynthesisResult": "repro.flow",
+        "synthesize": "repro.flow",
+        "Tracer": "repro.instrument",
+        "metrics": "repro.instrument",
+        "trace_phase": "repro.instrument",
+        "tracing": "repro.instrument",
+        "ParallelOptions": "repro.pipeline",
+        "analyze_source": "repro.vass",
+        "parse_source": "repro.vass",
+    },
+)
 
 __all__ = [
     "CompilerOptions",

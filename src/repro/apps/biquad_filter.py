@@ -22,8 +22,10 @@ through the flow's derived constraints.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from repro.flow import FlowOptions, SynthesisResult, synthesize
+if TYPE_CHECKING:
+    from repro.flow import FlowOptions, SynthesisResult
 
 #: filter corner frequency and quality factor used by the specification
 F0_HZ = 1000.0
@@ -58,6 +60,8 @@ END ARCHITECTURE;
 
 def synthesize_biquad(options: FlowOptions = None) -> SynthesisResult:
     """Run the full flow on the biquad specification."""
+    from repro.flow import synthesize
+
     return synthesize(VASS_SOURCE, options=options)
 
 

@@ -10,7 +10,10 @@ integrator, one analog MUX and one Schmitt trigger.
 
 from __future__ import annotations
 
-from repro.flow import FlowOptions, SynthesisResult, synthesize
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.flow import FlowOptions, SynthesisResult
 
 PAPER_ROW = {
     "vass_continuous": 2,
@@ -69,6 +72,8 @@ def synthesize_function_generator(
     options: FlowOptions = None,
 ) -> SynthesisResult:
     """Run the full flow on the function-generator specification."""
+    from repro.flow import synthesize
+
     return synthesize(VASS_SOURCE, options=options)
 
 

@@ -14,9 +14,10 @@ held output (the S/H of the paper's result) and raises ``done``.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
 
-from repro.flow import FlowOptions, SynthesisResult, synthesize
+if TYPE_CHECKING:
+    from repro.flow import FlowOptions, SynthesisResult
 
 PAPER_ROW = {
     "vass_continuous": 1,
@@ -70,11 +71,15 @@ END ARCHITECTURE;
 
 def synthesize_iterative_solver(options: FlowOptions = None) -> SynthesisResult:
     """Run the full flow on the iterative-solver specification."""
+    from repro.flow import synthesize
+
     return synthesize(VASS_SOURCE, options=options)
 
 
 def exact_solution(bx: float, by: float, bz: float):
     """Closed-form solution of the 3x3 system, for test comparison."""
+    import numpy as np
+
     matrix = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
     rhs = np.array([bx, by, bz])
     return np.linalg.solve(matrix, rhs)

@@ -11,7 +11,10 @@ the continuous-time part is a pure DAE set.
 
 from __future__ import annotations
 
-from repro.flow import FlowOptions, SynthesisResult, synthesize
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.flow import FlowOptions, SynthesisResult
 
 PAPER_ROW = {
     "vass_continuous": 4,
@@ -57,6 +60,8 @@ END ARCHITECTURE;
 
 def synthesize_missile_solver(options: FlowOptions = None) -> SynthesisResult:
     """Run the full flow on the missile-solver specification."""
+    from repro.flow import synthesize
+
     return synthesize(VASS_SOURCE, options=options)
 
 

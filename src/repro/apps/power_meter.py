@@ -10,8 +10,10 @@ zero-cross detectors (power metering needs the signed product).
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from repro.flow import FlowOptions, SynthesisResult, synthesize
+if TYPE_CHECKING:
+    from repro.flow import FlowOptions, SynthesisResult
 
 PAPER_ROW = {
     "vass_continuous": 8,
@@ -68,6 +70,8 @@ END ARCHITECTURE;
 
 def synthesize_power_meter(options: FlowOptions = None) -> SynthesisResult:
     """Run the full flow on the power-meter specification."""
+    from repro.flow import synthesize
+
     return synthesize(VASS_SOURCE, options=options)
 
 

@@ -10,8 +10,10 @@ drives a 270 Ω earphone at 285 mV peak with output limiting.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
-from repro.flow import FlowOptions, SynthesisResult, synthesize
+if TYPE_CHECKING:
+    from repro.flow import FlowOptions, SynthesisResult
 
 #: Paper's Table-1 row for this application (for bench comparison).
 PAPER_ROW = {
@@ -70,6 +72,8 @@ END ARCHITECTURE;
 
 def synthesize_receiver(options: FlowOptions = None) -> SynthesisResult:
     """Run the full flow on the receiver specification."""
+    from repro.flow import synthesize
+
     return synthesize(VASS_SOURCE, options=options)
 
 

@@ -60,11 +60,7 @@ import sys
 from typing import Optional
 
 from repro.apps import ALL_APPLICATIONS, EXTRA_APPLICATIONS
-from repro.compiler import compile_design
 from repro.diagnostics import VaseError
-from repro.flow import synthesize
-from repro.spice import to_spice_deck
-from repro.vhif.dot import design_to_dot
 
 
 def _positive_int(text: str) -> int:
@@ -157,6 +153,9 @@ def _source_filename(spec: str) -> str:
 
 
 def _cmd_compile(args: argparse.Namespace) -> int:
+    from repro.compiler import compile_design
+    from repro.vhif.dot import design_to_dot
+
     source = _load_source(args.file)
     design = compile_design(
         source,
@@ -173,7 +172,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 def _cmd_synth(args: argparse.Namespace) -> int:
     from contextlib import ExitStack
 
-    from repro.flow import FlowOptions
+    from repro.flow import FlowOptions, synthesize
     from repro.instrument import JsonlSink, TelemetryBus, resolve_ledger
     from repro.pipeline import ArtifactCache
 
@@ -271,7 +270,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro.flow import FlowOptions
+    from repro.flow import FlowOptions, synthesize
     from repro.instrument.explain import narrate, render_exploration_html
     from repro.synth import MapperOptions
     from repro.vhif.dot import decision_tree_to_dot
@@ -327,6 +326,9 @@ def _cmd_bench_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_spice(args: argparse.Namespace) -> int:
+    from repro.flow import synthesize
+    from repro.spice import to_spice_deck
+
     source = _load_source(args.file)
     result = synthesize(
         source,
@@ -340,6 +342,7 @@ def _cmd_spice(args: argparse.Namespace) -> int:
 def _cmd_verify(args: argparse.Namespace) -> int:
     import math
 
+    from repro.flow import synthesize
     from repro.verify import verify_equivalence
 
     source = _load_source(args.file)
@@ -364,7 +367,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_ac(args: argparse.Namespace) -> int:
-    from repro.flow import FlowOptions
+    from repro.flow import FlowOptions, synthesize
     from repro.spice import ac_sweep, dc, elaborate
 
     source = _load_source(args.file)
@@ -412,6 +415,7 @@ def _cmd_ac(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from repro.flow import synthesize
     from repro.report import generate_report
 
     source = _load_source(args.file)
@@ -542,6 +546,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 def _cmd_metrics(args: argparse.Namespace) -> int:
     import json as json_module
 
+    from repro.flow import synthesize
     from repro.instrument import metrics, render_prometheus
 
     if args.from_json:
@@ -753,6 +758,8 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.flow import synthesize
+
     del args
     header = (
         f"{'Application':<20} {'blocks':>6} {'states':>6} {'datapath':>8}  "

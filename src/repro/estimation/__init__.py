@@ -1,16 +1,12 @@
 """Analog performance estimation (substitute for [17] and [4])."""
 
+from repro._imports import deferred_exports
 from repro.estimation.constraints import (
     ConstraintSet,
     ConstraintViolation,
     PerformanceEstimate,
 )
 from repro.estimation.estimator import Estimator
-from repro.estimation.montecarlo import (
-    MismatchTrial,
-    YieldReport,
-    mismatch_analysis,
-)
 from repro.estimation.opamp import (
     OpAmpDesign,
     OpAmpSpec,
@@ -18,6 +14,15 @@ from repro.estimation.opamp import (
     min_opamp_area,
 )
 from repro.estimation.technology import MOSIS_SCN20, Technology
+
+# Monte Carlo simulates, so it loads numpy: resolved on first use.
+__getattr__, __dir__ = deferred_exports(
+    globals(),
+    {
+        name: "repro.estimation.montecarlo"
+        for name in ("MismatchTrial", "YieldReport", "mismatch_analysis")
+    },
+)
 
 __all__ = [
     "ConstraintSet",

@@ -9,12 +9,14 @@ Exposed on the command line as ``vase report``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.estimation import Estimator
 from repro.flow import SynthesisResult
 from repro.spice import to_spice_deck
-from repro.verify import EquivalenceReport
+
+if TYPE_CHECKING:
+    from repro.verify import EquivalenceReport
 
 
 def generate_report(

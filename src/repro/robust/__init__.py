@@ -25,43 +25,44 @@ exception.  This package makes the flow degrade gracefully and report
   exercised in tests and CI.
 """
 
-from repro.robust.batch import (
-    BatchEntry,
-    BatchReport,
-    find_sources,
-    run_batch,
-    schedule_longest_first,
-)
-from repro.robust.faultinject import (
-    FaultInjector,
-    active_faults,
-    fault_active,
-    inject_faults,
-)
-from repro.robust.journal import BatchJournal
-from repro.robust.lifecycle import (
-    CancellationToken,
-    CancelledError,
-    DeadlineExceeded,
-    RetryPolicy,
-    RunContext,
-    TransientError,
-    WorkerCrashError,
-    active_context,
-    checkpoint,
-    is_transient,
-    run_context,
-)
-from repro.robust.guards import (
-    NumericalWarning,
-    check_finite,
-    condition_estimate,
-    singular_suspects,
-)
-from repro.robust.recovery import (
-    RecoveryEvent,
-    RecoveryOptions,
-    relax_constraints,
+from repro._imports import deferred_exports
+
+# Resolved on first use: ``spice.linalg`` imports ``faultinject`` and
+# ``guards`` on every CLI start, which must not pull in batch and
+# recovery (and with them the pipeline and the estimator).  See
+# DESIGN.md, "Import layering".
+__getattr__, __dir__ = deferred_exports(
+    globals(),
+    {
+        "BatchEntry": "repro.robust.batch",
+        "BatchReport": "repro.robust.batch",
+        "find_sources": "repro.robust.batch",
+        "run_batch": "repro.robust.batch",
+        "schedule_longest_first": "repro.robust.batch",
+        "FaultInjector": "repro.robust.faultinject",
+        "active_faults": "repro.robust.faultinject",
+        "fault_active": "repro.robust.faultinject",
+        "inject_faults": "repro.robust.faultinject",
+        "BatchJournal": "repro.robust.journal",
+        "CancellationToken": "repro.robust.lifecycle",
+        "CancelledError": "repro.robust.lifecycle",
+        "DeadlineExceeded": "repro.robust.lifecycle",
+        "RetryPolicy": "repro.robust.lifecycle",
+        "RunContext": "repro.robust.lifecycle",
+        "TransientError": "repro.robust.lifecycle",
+        "WorkerCrashError": "repro.robust.lifecycle",
+        "active_context": "repro.robust.lifecycle",
+        "checkpoint": "repro.robust.lifecycle",
+        "is_transient": "repro.robust.lifecycle",
+        "run_context": "repro.robust.lifecycle",
+        "NumericalWarning": "repro.robust.guards",
+        "check_finite": "repro.robust.guards",
+        "condition_estimate": "repro.robust.guards",
+        "singular_suspects": "repro.robust.guards",
+        "RecoveryEvent": "repro.robust.recovery",
+        "RecoveryOptions": "repro.robust.recovery",
+        "relax_constraints": "repro.robust.recovery",
+    },
 )
 
 __all__ = [

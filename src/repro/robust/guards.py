@@ -19,9 +19,10 @@ not at all):
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: 1-norm condition estimate beyond which a solve is flagged.
 ILL_CONDITION_THRESHOLD = 1e12
@@ -40,6 +41,8 @@ def condition_estimate(matrix: np.ndarray) -> float:
     noise next to the Newton iterations around it; callers should still
     estimate once per analysis, not once per step.
     """
+    import numpy as np
+
     if matrix.size == 0:
         return 1.0
     try:
@@ -64,6 +67,8 @@ def singular_suspects(
     ``max_suspects`` labels, largest component first; empty when the
     matrix is not singular (or the SVD itself fails).
     """
+    import numpy as np
+
     if matrix.size == 0:
         return []
     try:
@@ -141,6 +146,8 @@ def check_finite(
     check).  Otherwise the first ``max_named`` offending labels are
     returned so the caller can raise a located error.
     """
+    import numpy as np
+
     if np.isfinite(x).all():
         return None
     bad = np.nonzero(~np.isfinite(x))[0]

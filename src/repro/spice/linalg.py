@@ -22,6 +22,7 @@ implementations:
     threshold.  scipy is an *optional* dependency: when it is missing
     the backend resolves to ``dense`` (and a
     ``spice.linalg.sparse_unavailable`` counter records the fallback).
+    scipy is imported on first sparse use, never at module import.
 
 The guards live at this boundary, in :class:`AnalysisGuard`, instead of
 being duplicated per call site: fault-injection row-zeroing, the
@@ -44,12 +45,11 @@ the knob is excluded from every content fingerprint.
 
 from __future__ import annotations
 
+import importlib.util
 import threading
 import warnings
 from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator, Optional, Sequence
 
 from repro.diagnostics import SimulationError
 from repro.instrument import metrics
@@ -62,21 +62,20 @@ from repro.robust.guards import (
     zero_first_unknown,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 #: every accepted backend preference (``auto`` resolves per analysis)
 BACKENDS = ("auto", "dense", "batched", "sparse")
 
 #: unknown count beyond which ``auto`` prefers the sparse backend
 SPARSE_THRESHOLD = 64
 
-try:  # scipy is optional: the sparse backend degrades to dense without it
-    from scipy.sparse import csc_matrix as _csc_matrix
-    from scipy.sparse.linalg import splu as _splu
-
-    HAVE_SCIPY = True
-except ImportError:  # pragma: no cover - exercised on the no-scipy CI leg
-    _csc_matrix = None
-    _splu = None
-    HAVE_SCIPY = False
+#: scipy is optional: the sparse backend degrades to dense without it.
+#: Decided by locating the package, not importing it — numpy and scipy
+#: load only when numeric code first runs (see DESIGN.md, "Import
+#: layering").
+HAVE_SCIPY = importlib.util.find_spec("scipy") is not None
 
 
 class LinearSolver:
@@ -104,9 +103,13 @@ class DenseSolver(LinearSolver):
     name = "dense"
 
     def solve(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.linalg.solve(A, b)
 
     def solve_grid(self, A_stack: np.ndarray, b: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         out = np.empty((A_stack.shape[0], b.shape[-1]), dtype=A_stack.dtype)
         for i in range(A_stack.shape[0]):
             out[i] = np.linalg.solve(A_stack[i], b)
@@ -119,9 +122,13 @@ class BatchedSolver(LinearSolver):
     name = "batched"
 
     def solve(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         return np.linalg.solve(A, b)
 
     def solve_grid(self, A_stack: np.ndarray, b: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         # The shared RHS is broadcast to a stack of (n, 1) column
         # matrices: unambiguous under both numpy RHS-interpretation
         # rules (a 2-D b would be read as one matrix, not a stack).
@@ -137,8 +144,12 @@ class SparseSolver(LinearSolver):
     name = "sparse"
 
     def solve(self, A: np.ndarray, b: np.ndarray) -> np.ndarray:
+        import numpy as np
+        from scipy.sparse import csc_matrix
+        from scipy.sparse.linalg import splu
+
         try:
-            factored = _splu(_csc_matrix(A))
+            factored = splu(csc_matrix(A))
             return factored.solve(np.asarray(b, dtype=A.dtype))
         except (RuntimeError, ValueError) as err:
             # splu reports exact singularity as RuntimeError; normalize
@@ -146,6 +157,8 @@ class SparseSolver(LinearSolver):
             raise np.linalg.LinAlgError(str(err)) from err
 
     def solve_grid(self, A_stack: np.ndarray, b: np.ndarray) -> np.ndarray:
+        import numpy as np
+
         out = np.empty((A_stack.shape[0], b.shape[-1]), dtype=A_stack.dtype)
         for i in range(A_stack.shape[0]):
             out[i] = self.solve(A_stack[i], b)
@@ -205,6 +218,20 @@ def use_backend(name: Optional[str]) -> Iterator[None]:
         _local.backend = previous
 
 
+def _sparse_importable() -> bool:
+    """Whether the sparse backend can run, importing scipy's sparse LU
+    on the first call.  A scipy that is found but fails to import
+    degrades exactly like a missing one: :data:`HAVE_SCIPY` turns false
+    for the rest of the process."""
+    global HAVE_SCIPY
+    if HAVE_SCIPY:
+        try:
+            import scipy.sparse.linalg  # noqa: F401
+        except ImportError:
+            HAVE_SCIPY = False
+    return HAVE_SCIPY
+
+
 def resolve_backend(
     preference: Optional[str] = None, size: int = 0, grid: int = 1
 ) -> LinearSolver:
@@ -218,12 +245,12 @@ def resolve_backend(
     """
     name = _validate(preference or default_backend())
     if name == "auto":
-        if HAVE_SCIPY and size >= SPARSE_THRESHOLD:
+        if size >= SPARSE_THRESHOLD and _sparse_importable():
             return SparseSolver()
         if grid > 1:
             return BatchedSolver()
         return DenseSolver()
-    if name == "sparse" and not HAVE_SCIPY:
+    if name == "sparse" and not _sparse_importable():
         metrics().inc("spice.linalg.sparse_unavailable")
         return DenseSolver()
     return {
@@ -312,6 +339,8 @@ def guarded_solve(
     factorization lands on ``spice.mna.factorization_failures``), then
     runs the guard's once-per-analysis condition estimate.
     """
+    import numpy as np
+
     A = guard.inject_fault(A)
     registry = metrics()
     try:

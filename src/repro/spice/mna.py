@@ -24,9 +24,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.diagnostics import SimulationError
 from repro.instrument import metrics
@@ -38,6 +44,9 @@ from repro.spice.linalg import (
     guarded_solve,
     resolve_backend,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GROUND_NAMES = ("0", "gnd", "ground")
 
@@ -474,6 +483,8 @@ class MnaSolver:
         prev: Optional[np.ndarray],
         switch_controls: Optional[np.ndarray],
     ) -> Tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         size = self._size
         A = np.zeros((size, size))
         b = np.zeros(size)
@@ -596,6 +607,8 @@ class MnaSolver:
         prev: Optional[np.ndarray],
         switch_controls: Optional[np.ndarray],
     ) -> float:
+        import numpy as np
+
         A, b = self._assemble(x, t, dt, prev, switch_controls)
         return float(np.max(np.abs(A @ x - b))) if x.size else 0.0
 
@@ -615,6 +628,8 @@ class MnaSolver:
         Newton oscillate between the rails; backtracking on the
         residual norm keeps every accepted step a true improvement.
         """
+        import numpy as np
+
         x = x0.copy()
         if not x.size:
             return x
@@ -663,6 +678,8 @@ class MnaSolver:
 
     def dc_operating_point(self) -> Dict[str, float]:
         """Newton DC solution (capacitors open)."""
+        import numpy as np
+
         self._guard.reset()
         x = self._newton(np.zeros(self._size), 0.0, None, None, None)
         self._check_solution_finite(x)
@@ -679,6 +696,8 @@ class MnaSolver:
         x0: Optional[np.ndarray] = None,
     ) -> TransientResult:
         """Backward-Euler transient from t=0 (or from ``x0``)."""
+        import numpy as np
+
         if dt <= 0 or t_end <= 0:
             raise SimulationError("dt and t_end must be positive")
         names = probes if probes is not None else self.circuit.node_names

@@ -1,5 +1,6 @@
 """VHIF: the VASE Hierarchical Intermediate Format (paper Section 4)."""
 
+from repro._imports import deferred_exports
 from repro.vhif.design import PortInfo, VhifDesign, VhifStatistics
 from repro.vhif.fsm import (
     ALWAYS,
@@ -18,7 +19,6 @@ from repro.vhif.fsm import (
     Transition,
     sensitivity_condition,
 )
-from repro.vhif.interp import Interpreter, TraceSet, eval_discrete, simulate
 from repro.vhif.optimize import OptimizeReport, optimize_design, optimize_sfg
 from repro.vhif.serialize import design_from_json, design_to_json
 from repro.vhif.sfg import (
@@ -30,6 +30,15 @@ from repro.vhif.sfg import (
     SignalFlowGraph,
 )
 from repro.vhif.validate import validate_design, validate_sfg
+
+# The interpreter is numpy-backed: resolved on first use.
+__getattr__, __dir__ = deferred_exports(
+    globals(),
+    {
+        name: "repro.vhif.interp"
+        for name in ("Interpreter", "TraceSet", "eval_discrete", "simulate")
+    },
+)
 
 __all__ = [
     "ALWAYS",
