@@ -71,7 +71,7 @@ def _positive_int(text: str) -> int:
 
 
 def _add_executor_args(parser, what: str) -> None:
-    """The shared ``--executor`` / ``--workers`` / ``--jobs`` trio."""
+    """The shared ``--executor`` / ``--workers`` pair."""
     parser.add_argument(
         "--executor", choices=("serial", "thread", "process"),
         default=None,
@@ -83,11 +83,6 @@ def _add_executor_args(parser, what: str) -> None:
         "--workers", type=_positive_int, default=None, metavar="N",
         help="worker count for --executor (default: the CPU count "
         "when an executor is chosen, else 1)",
-    )
-    parser.add_argument(
-        "--jobs", type=_positive_int, default=None, metavar="N",
-        help="deprecated alias: thread-pool width (use "
-        "--executor/--workers)",
     )
 
 
@@ -105,13 +100,11 @@ def _add_linalg_arg(parser) -> None:
 
 
 def _resolve_parallel(args: argparse.Namespace):
-    """A :class:`~repro.pipeline.ParallelOptions` from the CLI trio.
+    """A :class:`~repro.pipeline.ParallelOptions` from the CLI pair.
 
-    ``--jobs`` is the deprecated width knob: honored (as the thread
-    backend) with a stderr warning, overridden by the first-class
-    flags when both are given.  ``--executor`` without ``--workers``
-    defaults to every available core; ``--workers`` without
-    ``--executor`` picks the thread backend.
+    ``--executor`` without ``--workers`` defaults to every available
+    core; ``--workers`` without ``--executor`` picks the thread
+    backend.
     """
     import os
 
@@ -119,14 +112,6 @@ def _resolve_parallel(args: argparse.Namespace):
 
     executor = getattr(args, "executor", None)
     workers = getattr(args, "workers", None)
-    jobs = getattr(args, "jobs", None)
-    if jobs is not None:
-        print(
-            "warning: --jobs is deprecated; use --executor/--workers",
-            file=sys.stderr,
-        )
-        if executor is None and workers is None:
-            return ParallelOptions.from_jobs(jobs)
     if executor is None and workers is None:
         return ParallelOptions()
     if workers is None:
@@ -663,9 +648,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.pipeline import ArtifactCache, ParallelOptions
     from repro.serve import JobManager, create_server
 
-    if args.jobs is not None:
-        print("warning: --jobs is deprecated; use --workers",
-              file=sys.stderr)
     if args.token is None and args.host not in (
         "127.0.0.1", "localhost", "::1"
     ):
@@ -675,7 +657,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    width = args.workers or args.jobs or 2
+    width = args.workers or 2
     execution = ParallelOptions(
         executor=args.executor or "thread", workers=width,
     )
@@ -1063,10 +1045,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--workers", type=_positive_int, default=None, metavar="N",
         help="resident synthesis workers (default 2)",
-    )
-    p_serve.add_argument(
-        "--jobs", type=_positive_int, default=None, metavar="N",
-        help="deprecated alias for --workers",
     )
     p_serve.add_argument(
         "--queue-limit", type=_positive_int, default=64, metavar="N",

@@ -21,7 +21,6 @@ cache's on-disk tier).
 from __future__ import annotations
 
 import time
-import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
@@ -60,9 +59,8 @@ from repro.pipeline import (
     ParallelOptions,
     PipelineSession,
     Task,
+    cache_view,
     create_executor,
-    stats_delta,
-    worker_cache,
 )
 from repro.robust.lifecycle import (
     CancelledError,
@@ -147,11 +145,6 @@ class FlowOptions:
     #: workers, true multi-core).  Results are deterministic — and
     #: byte-identical — regardless of backend and worker count.
     parallel: ParallelOptions = field(default_factory=ParallelOptions)
-    #: deprecated — the pre-:class:`ParallelOptions` width knob.  Any
-    #: non-``None`` value emits a :class:`DeprecationWarning` and is
-    #: mapped onto ``parallel`` (``jobs > 1`` → the thread backend)
-    #: unless ``parallel`` was set explicitly, which wins.
-    jobs: Optional[int] = None
     #: artifact cache shared across runs (``vase synth --cache`` wires
     #: an on-disk one).  ``None`` means a private per-run cache: stages
     #: are still reused *within* the run — ladder rungs, solver
@@ -184,21 +177,6 @@ class FlowOptions:
     #: ``deadline_s`` — the knob is deliberately excluded from every
     #: content fingerprint (stage cache keys, ledger options digests).
     linalg: str = "auto"
-
-    def __post_init__(self):
-        if self.jobs is not None:
-            warnings.warn(
-                "FlowOptions.jobs is deprecated; use "
-                "FlowOptions.parallel=ParallelOptions(executor=..., "
-                "workers=...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            if self.parallel == ParallelOptions():
-                self.parallel = ParallelOptions.from_jobs(self.jobs)
-            # Consume the shim so dataclasses.replace() on this bag
-            # does not warn again (the mapping is already on parallel).
-            self.jobs = None
 
 
 @dataclass
@@ -261,7 +239,8 @@ class SynthesisResult:
     #: per-causalization outcomes (non-empty only when
     #: ``FlowOptions.explore_solvers`` mapped more than one solver)
     solver_exploration: List[SolverOutcome] = field(default_factory=list)
-    #: artifact-cache counters of the run's pipeline session
+    #: artifact-cache counters of this run's lookups alone (its own
+    #: view of ``FlowOptions.cache``, never the cache's lifetime totals)
     cache_stats: Optional[Dict[str, object]] = None
     #: telemetry run id of this run (every bus event and the ledger
     #: record of the run carry the same id)
@@ -459,7 +438,7 @@ def synthesize(
         source_filename=source_filename,
         options=options,
         library=library,
-        cache=options.cache,
+        cache=cache_view(options.cache),
     )
 
     # Honour the trace/explog/telemetry knobs: start a recorder unless
@@ -468,6 +447,12 @@ def synthesize(
     explog = active_explog()
     started = time.perf_counter()
     with ExitStack() as stack:
+        if options.cache is not None:
+            # The run counts on its own view; the shared cache gets the
+            # counts on every way out, failures included.
+            stack.callback(
+                lambda: options.cache.fold(session.cache.stats.as_dict())
+            )
         if options.telemetry is not None and active_bus() is None:
             stack.enter_context(telemetry(options.telemetry))
             # A run that asked for a bus should put every category on
@@ -611,82 +596,26 @@ def _emit_recovery(event: RecoveryEvent) -> None:
 
 
 def transportable_options(options: FlowOptions) -> FlowOptions:
-    """A copy of ``options`` fit for the process-backend pickling
-    boundary: live in-process resources (cache, telemetry bus, ledger)
-    are dropped — workers rebuild the cache from its disk directory,
+    """A copy of ``options`` fit for a task's payload: the live
+    in-process resources (telemetry bus, ledger) are dropped —
     telemetry is forwarded over the result channel, the ledger is
-    written by the submitting side — and ``parallel`` is reset to
-    serial so a worker never recursively spawns its own pool."""
-    return replace(
-        options,
-        cache=None,
-        telemetry=None,
-        ledger=None,
-        parallel=ParallelOptions(),
-        jobs=None,
-    )
+    written by the submitting side.  The cache stays: it pickles as
+    its store (:func:`~repro.pipeline.worker_cache`).  ``parallel``
+    stays too; inside a process worker it fans out on threads
+    (:func:`~repro.pipeline.create_executor`)."""
+    return replace(options, telemetry=None, ledger=None)
 
 
-@dataclass(frozen=True)
-class _SessionPayload:
-    """Everything a worker process needs to rebuild a pipeline session."""
-
-    source: str
-    entity_name: Optional[str]
-    architecture_name: Optional[str]
-    source_filename: Optional[str]
-    options: FlowOptions
-    library: ComponentLibrary
-    #: shared on-disk cache tier (``None``: worker-private memory cache)
-    cache_dir: Optional[str]
-
-
-def _session_payload(session: PipelineSession) -> _SessionPayload:
-    disk_dir = session.cache.disk_dir
-    return _SessionPayload(
-        source=session.source,
-        entity_name=session.entity_name,
-        architecture_name=session.architecture_name,
-        source_filename=session.source_filename,
-        options=transportable_options(session.options),
-        library=session.library,
-        cache_dir=str(disk_dir) if disk_dir is not None else None,
-    )
-
-
-def _solver_attempt_local(session: PipelineSession, index: int):
-    """One causalization attempt against the shared live session."""
+def _solver_attempt(session: PipelineSession, index: int):
+    """One causalization attempt, the task every executor runs for
+    ``explore_solvers``: ``(result, error, cache counts)``, exactly one
+    of ``result``/``error`` set."""
+    session = session.view()
     try:
-        return index, _synthesize_staged(session, solver_index=index), \
-            None, None
+        result, error = _synthesize_staged(session, solver_index=index), None
     except SynthesisError as err:
-        return index, None, err, None
-
-
-def _solver_attempt_remote(payload: _SessionPayload, index: int):
-    """One causalization attempt inside a worker process.
-
-    Rebuilds the session from the picklable payload (per-process cache
-    over the shared disk tier) and ships back the cache-counter delta
-    this attempt caused, so the submitting side's aggregate stats stay
-    truthful."""
-    cache = (
-        worker_cache(payload.cache_dir)
-        if payload.cache_dir is not None else None
-    )
-    session = PipelineSession(
-        payload.source,
-        entity_name=payload.entity_name,
-        architecture_name=payload.architecture_name,
-        source_filename=payload.source_filename,
-        options=payload.options,
-        library=payload.library,
-        cache=cache,
-    )
-    before = session.cache.stats.as_dict()
-    index, result, error, _ = _solver_attempt_local(session, index)
-    delta = stats_delta(before, session.cache.stats.as_dict())
-    return index, result, error, delta
+        result, error = None, err
+    return result, error, session.cache.stats.as_dict()
 
 
 def _explore_solvers(session: PipelineSession) -> SynthesisResult:
@@ -714,28 +643,20 @@ def _explore_solvers(session: PipelineSession) -> SynthesisResult:
         # Workers inherit the submitting thread's run id (the executor
         # re-enters / forwards it), so their telemetry — cache ops,
         # metric deltas — lands on this run with dense seqs.
+        shipped = session.view(transportable_options(options))
         with create_executor(options.parallel.bounded(count)) as executor:
             span.annotate(executor=executor.kind)
-            if executor.distributed:
-                payload = _session_payload(session)
-                tasks = [
-                    Task(_solver_attempt_remote, (payload, index))
-                    for index in range(count)
-                ]
-            else:
-                tasks = [
-                    Task(_solver_attempt_local, (session, index))
-                    for index in range(count)
-                ]
-            outcomes = executor.map_ordered(tasks)
+            outcomes = executor.map_ordered([
+                Task(_solver_attempt, (shipped, index))
+                for index in range(count)
+            ])
 
         best_index: Optional[int] = None
         best_result: Optional[SynthesisResult] = None
         exploration: List[SolverOutcome] = []
         last_error: Optional[SynthesisError] = None
-        for index, result, error, delta in outcomes:
-            if delta is not None:
-                session.cache.stats.apply_delta(delta)
+        for index, (result, error, counts) in enumerate(outcomes):
+            session.cache.fold(counts)
             if result is not None:
                 area = result.estimate.area
                 if best_result is None or (

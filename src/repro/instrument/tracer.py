@@ -234,9 +234,10 @@ def _jsonable(value: object) -> object:
 #
 # Thread-local, not a module global: a Tracer's span stack is not
 # thread-safe, and the pipeline's worker pools (explore_solvers,
-# ``vase batch --jobs``) run flow stages on worker threads.  Workers
-# simply see no active tracer (their spans are no-ops); the thread
-# that enabled tracing keeps its tree exactly as before.
+# ``vase batch --executor thread``) run flow stages on worker
+# threads.  Workers simply see no active tracer (their spans are
+# no-ops); the thread that enabled tracing keeps its tree exactly as
+# before.
 
 _TLS = threading.local()
 

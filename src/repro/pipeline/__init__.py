@@ -7,15 +7,13 @@ See :mod:`repro.pipeline.stages` for the stage graph,
 (``serial`` / ``thread`` / ``process``) behind
 :class:`~repro.pipeline.executor.ParallelOptions`, used by
 ``FlowOptions.explore_solvers``, ``vase batch`` and ``vase serve``.
-:mod:`repro.pipeline.parallel` keeps the underlying bounded thread
-pool.
 """
 
 from repro.pipeline.cache import (
     MISS,
     ArtifactCache,
     CacheStats,
-    stats_delta,
+    cache_view,
     worker_cache,
 )
 from repro.pipeline.executor import (
@@ -34,7 +32,6 @@ from repro.pipeline.fingerprint import (
     library_fingerprint,
     stage_key,
 )
-from repro.pipeline.parallel import WorkerPool, run_parallel
 from repro.pipeline.stages import (
     ALL_STAGES,
     COMPILE,
@@ -71,13 +68,11 @@ __all__ = [
     "StageDef",
     "Task",
     "ThreadExecutor",
-    "WorkerPool",
+    "cache_view",
     "canonicalize",
     "create_executor",
     "fingerprint",
     "library_fingerprint",
-    "run_parallel",
     "stage_key",
-    "stats_delta",
     "worker_cache",
 ]

@@ -9,7 +9,7 @@ Two tiers:
 * an opt-in **on-disk store** (``disk_dir``, ``vase synth --cache``)
   of pickled artifacts keyed by the stage's content hash, which
   survives process restarts and is shared safely between the worker
-  threads of ``vase batch --jobs``.
+  threads and processes of ``vase batch --executor thread|process``.
 
 Artifacts are treated as immutable: :meth:`ArtifactCache.put` stores a
 private deep copy and :meth:`ArtifactCache.get` hands back a fresh deep
@@ -17,6 +17,13 @@ copy, so downstream stages (FSM realization, VHIF optimization,
 interfacing) may mutate what they received without corrupting the
 cache.  Unpicklable artifacts simply skip the disk tier — counted, not
 fatal.
+
+Each unit of work (a synthesis run, a batch file, a served job, a
+solver attempt) counts its lookups on its own :meth:`ArtifactCache.view`
+— same entries, fresh :class:`CacheStats` — and whoever submitted it
+folds those counts back with :meth:`ArtifactCache.fold`.  A cache
+pickles as its store (:func:`worker_cache`), so the same bookkeeping
+holds when the unit of work ran in another process.
 
 Every hit/miss/store/eviction is mirrored into the process-wide
 :func:`repro.instrument.metrics` registry (``pipeline.cache.*`` and
@@ -83,13 +90,7 @@ class CacheStats:
         )
 
     def apply_delta(self, delta: Dict[str, object]) -> None:
-        """Fold a :func:`stats_delta` snapshot into these counters.
-
-        The process execution backend runs stages against per-worker
-        caches; each task ships back the counter delta it caused, and
-        the submitting side folds the deltas in here so aggregate
-        stats (``vase batch --cache-stats``, ``report.cache``) account
-        for work done in other processes."""
+        """Add the counters of an :meth:`as_dict` snapshot to these."""
         for name in ("hits", "misses", "stores", "evictions",
                      "disk_hits", "disk_stores", "disk_errors"):
             setattr(self, name, getattr(self, name) + int(
@@ -99,25 +100,6 @@ class CacheStats:
             counts = getattr(self, field_name)
             for stage, n in (delta.get(field_name) or {}).items():
                 counts[stage] = counts.get(stage, 0) + int(n)
-
-
-def stats_delta(
-    before: Dict[str, object], after: Dict[str, object]
-) -> Dict[str, object]:
-    """``after - before`` of two :meth:`CacheStats.as_dict` snapshots."""
-    delta: Dict[str, object] = {}
-    for key, value in after.items():
-        if isinstance(value, dict):
-            base = before.get(key, {}) or {}
-            diff = {
-                stage: n - base.get(stage, 0)
-                for stage, n in value.items()
-                if n - base.get(stage, 0)
-            }
-            delta[key] = diff
-        else:
-            delta[key] = value - int(before.get(key, 0) or 0)
-    return delta
 
 
 class ArtifactCache:
@@ -245,6 +227,26 @@ class ArtifactCache:
         self.stats.disk_stores += 1
         metrics().inc("pipeline.cache.disk_store")
 
+    # -- units of work -----------------------------------------------------
+
+    def view(self) -> "ArtifactCache":
+        """This cache with fresh counters: the memory LRU, its lock and
+        the disk tier are shared, the :class:`CacheStats` are not."""
+        view = object.__new__(ArtifactCache)
+        view.__dict__.update(self.__dict__)
+        view.stats = CacheStats()
+        return view
+
+    def fold(self, counts: Dict[str, object]) -> None:
+        """Add a view's :meth:`CacheStats.as_dict` counts to these."""
+        with self._lock:
+            self.stats.apply_delta(counts)
+
+    def __reduce__(self):
+        # Across a process boundary a cache travels as its store.
+        disk_dir = str(self.disk_dir) if self.disk_dir is not None else None
+        return worker_cache, (disk_dir,)
+
     # -- housekeeping ------------------------------------------------------
 
     def __len__(self) -> int:
@@ -265,13 +267,14 @@ _WORKER_CACHES: Dict[str, ArtifactCache] = {}
 _WORKER_CACHES_LOCK = threading.Lock()
 
 
-def worker_cache(disk_dir: object) -> ArtifactCache:
+def worker_cache(disk_dir: Optional[object]) -> ArtifactCache:
     """This process's :class:`ArtifactCache` over ``disk_dir``.
 
-    Process-backend tasks cannot carry the submitting side's live
-    cache object across the pickling boundary; they carry the disk
-    directory instead and rebuild (or reuse) the per-process cache
-    here."""
+    What an unpickled cache becomes: the per-process cache over the
+    shared disk directory, or a fresh private cache when the original
+    had no disk tier."""
+    if disk_dir is None:
+        return ArtifactCache()
     key = str(Path(disk_dir).resolve())
     with _WORKER_CACHES_LOCK:
         cache = _WORKER_CACHES.get(key)
@@ -279,3 +282,9 @@ def worker_cache(disk_dir: object) -> ArtifactCache:
             cache = ArtifactCache(disk_dir=key)
             _WORKER_CACHES[key] = cache
         return cache
+
+
+def cache_view(cache: Optional[ArtifactCache]) -> ArtifactCache:
+    """A :meth:`~ArtifactCache.view` of ``cache``, or a fresh private
+    cache when there is none to share."""
+    return cache.view() if cache is not None else ArtifactCache()

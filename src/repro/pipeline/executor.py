@@ -1,37 +1,37 @@
 """Pluggable execution backends: one API, three ways to run tasks.
 
 Every parallel surface of the flow — ``FlowOptions.explore_solvers``,
-``vase batch``, the ``vase serve`` resident pool — used to hard-code a
-thread pool behind a bare ``jobs: int`` knob.  Threads are the wrong
+``vase batch``, ``vase serve`` — submits its unit of work to an
+executor chosen by :class:`ParallelOptions`.  Threads are the wrong
 tool for the CPU-bound half of the flow: the branch-and-bound mapper
-and the MNA factorizations serialize on the GIL, so ``--jobs 4`` buys
+and the MNA factorizations serialize on the GIL, so a thread pool buys
 fault isolation and overlap of the (small) I/O slices but no
-multi-core speedup.  This module makes the executor a first-class
-choice:
+multi-core speedup.  Hence three backends:
 
 ``serial``
-    Run tasks inline on the calling thread, in order.  The reference
-    semantics every other backend must be output-identical to.
+    Run each task on the calling thread when its result is first
+    asked for.  The reference semantics every other backend must be
+    output-identical to.
 ``thread``
-    The existing bounded :class:`~repro.pipeline.parallel.WorkerPool`.
-    Cheap to start, shares all in-process state (artifact cache
-    memory tier, metrics registry, telemetry bus) — but GIL-bound.
+    A bounded :class:`~concurrent.futures.ThreadPoolExecutor`.  Cheap
+    to start, shares all in-process state (artifact cache memory
+    tier, metrics registry, telemetry bus) — but GIL-bound.
 ``process``
     ``multiprocessing`` **spawn** workers behind a Pipe task bridge.
-    True multi-core execution of CPU-bound synthesis.  Tasks cross
-    the pickling boundary: a task is a *module-level function* plus
-    picklable arguments (closures and live sessions stay home — see
-    ``Executor.distributed``), results and escaped exceptions are
-    pickled back.  The on-disk ``.vase-cache/`` tier is the shared
-    store across workers; telemetry events published inside a worker
-    are forwarded over the result channel and re-published onto the
-    submitting run's bus, so per-run seqs stay dense no matter where
-    the event originated.
+    True multi-core execution of CPU-bound synthesis.  Results and
+    escaped exceptions are pickled back.  The on-disk ``.vase-cache/``
+    tier is the shared store across workers; telemetry events
+    published inside a worker are forwarded over the result channel
+    and re-published onto the submitting run's bus, so per-run seqs
+    stay dense no matter where the event originated.
 
-All backends implement the same :class:`Executor` interface:
-``submit`` (one task, returns a :class:`~concurrent.futures.Future`),
+Every backend runs the same task: a *module-level function* plus
+picklable arguments (see :class:`Task`), so the serial backend
+executes exactly the code a process worker does.  All backends
+implement the same :class:`Executor` interface: ``submit`` (one task,
+returns a :class:`~concurrent.futures.Future`), ``iter_ordered`` /
 ``map_ordered`` (a batch, results in submission order), ``shutdown``,
-and context-manager use.  ``map_ordered`` cancels every outstanding
+and context-manager use.  ``iter_ordered`` cancels every outstanding
 future before propagating an escaped task exception, so a failing
 task never leaks the remaining work into the background.
 
@@ -73,13 +73,21 @@ import threading
 import time
 import traceback
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from multiprocessing import connection, get_context
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Deque,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.diagnostics import VaseError
-from repro.pipeline.parallel import WorkerPool
 
 #: The executor kinds ``ParallelOptions.executor`` accepts.
 EXECUTOR_KINDS = ("serial", "thread", "process")
@@ -94,13 +102,16 @@ _JOIN_TIMEOUT_S = 5.0
 #: Bridge-thread poll interval (crash/timeout detection granularity).
 _POLL_S = 0.2
 
+#: Set in a spawned worker: a fan-out asked for there runs on threads.
+_IN_WORKER = False
+
 
 @dataclass(frozen=True)
 class ParallelOptions:
     """Where and how wide parallel work runs.
 
-    Replaces the bare ``jobs: int`` knob: the executor *kind* and the
-    worker count are one value, validated at construction, carried on
+    The executor *kind* and the worker count are one value, validated
+    at construction, carried on
     :class:`~repro.flow.FlowOptions` and accepted by ``vase
     synth|batch|serve --executor/--workers``.  Deliberately excluded
     from every content fingerprint (stage cache keys, ledger options
@@ -126,14 +137,6 @@ class ParallelOptions:
         if self.task_timeout_s is not None and self.task_timeout_s <= 0:
             raise ValueError("task_timeout_s must be positive (or None)")
 
-    @classmethod
-    def from_jobs(cls, jobs: int) -> "ParallelOptions":
-        """The legacy ``jobs: int`` knob as a :class:`ParallelOptions`
-        (``jobs > 1`` meant the thread pool, ``jobs == 1`` serial)."""
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        return cls(executor="thread" if jobs > 1 else "serial", workers=jobs)
-
     def bounded(self, n_tasks: int) -> "ParallelOptions":
         """A copy whose width never exceeds the task count."""
         return ParallelOptions(
@@ -150,12 +153,9 @@ class ParallelOptions:
 
 @dataclass(frozen=True)
 class Task:
-    """One unit of work: a callable plus positional arguments.
-
-    For the ``process`` backend ``fn`` must be a module-level function
-    and ``args`` must pickle (the task crosses a process boundary);
-    in-process backends accept anything callable.
-    """
+    """One unit of work: a module-level function plus picklable
+    positional arguments (the ``process`` backend ships both to a
+    worker; the in-process backends run them as they are)."""
 
     fn: Callable
     args: Tuple = ()
@@ -166,10 +166,6 @@ class Executor:
 
     #: backend name (one of :data:`EXECUTOR_KINDS`)
     kind: str = "serial"
-    #: True when tasks run in *other processes*: callers must submit
-    #: picklable module-level functions, and unpicklable context (live
-    #: sessions, caches, buses) must be rebuilt worker-side.
-    distributed: bool = False
 
     def __init__(self, workers: int = 1):
         if workers < 1:
@@ -181,23 +177,25 @@ class Executor:
     def submit(self, fn: Callable, *args) -> "Future":
         raise NotImplementedError
 
-    def map_ordered(self, tasks: Sequence[Task]) -> List[object]:
-        """Run every task; results in submission order.
+    def iter_ordered(self, tasks: Sequence[Task]) -> Iterator[object]:
+        """Submit every task; yield results in submission order.
 
         An exception escaping a task propagates to the caller — after
         every outstanding future has been cancelled, so no stray work
-        keeps running (or holding pool slots) behind the raise.
+        keeps running (or holding pool slots) behind the raise.  The
+        same holds when the caller stops iterating early.
         """
         futures = [self.submit(task.fn, *task.args) for task in tasks]
-        results: List[object] = []
         try:
             for future in futures:
-                results.append(future.result())
-        except BaseException:
+                yield future.result()
+        finally:
             for future in futures:
                 future.cancel()
-            raise
-        return results
+
+    def map_ordered(self, tasks: Sequence[Task]) -> List[object]:
+        """Run every task; results in submission order."""
+        return list(self.iter_ordered(tasks))
 
     def shutdown(self, wait: bool = True) -> None:
         pass
@@ -210,8 +208,41 @@ class Executor:
         return False
 
 
+class _DeferredFuture(Future):
+    """A future whose task runs on the thread that first asks for its
+    outcome (``result()`` or ``exception()``)."""
+
+    def __init__(self, fn: Callable, args: Tuple):
+        super().__init__()
+        self._call: Optional[Tuple[Callable, Tuple]] = (fn, args)
+        self._claim = threading.Lock()
+
+    def _run(self) -> None:
+        with self._claim:
+            call, self._call = self._call, None
+        if call is None or not self.set_running_or_notify_cancel():
+            return
+        fn, args = call
+        try:
+            self.set_result(fn(*args))
+        except BaseException as err:  # noqa: BLE001 - future carries it
+            self.set_exception(err)
+
+    def result(self, timeout: Optional[float] = None):
+        self._run()
+        return super().result(timeout)
+
+    def exception(self, timeout: Optional[float] = None):
+        self._run()
+        return super().exception(timeout)
+
+
 class SerialExecutor(Executor):
-    """Run tasks inline, in submission order — the reference backend."""
+    """Run tasks inline, in the order their results are asked for — the
+    reference backend.  A task starts only when its future's
+    ``result()`` is first called, so a caller consuming results in
+    order finishes its bookkeeping for task *i* before task *i+1*
+    starts, and a raising task means later ones never start."""
 
     kind = "serial"
 
@@ -219,34 +250,23 @@ class SerialExecutor(Executor):
         super().__init__(workers=1)
 
     def submit(self, fn: Callable, *args) -> "Future":
-        future: "Future" = Future()
-        future.set_running_or_notify_cancel()
-        try:
-            future.set_result(fn(*args))
-        except BaseException as err:  # noqa: BLE001 - future carries it
-            future.set_exception(err)
-        return future
-
-    def map_ordered(self, tasks: Sequence[Task]) -> List[object]:
-        # Inline and lazy: a raising task means the tasks after it are
-        # never started — exactly the pre-executor serial semantics.
-        return [task.fn(*task.args) for task in tasks]
+        return _DeferredFuture(fn, args)
 
 
 class ThreadExecutor(Executor):
     """The bounded in-process thread pool (GIL-bound but cheap).
 
-    Wraps :class:`~repro.pipeline.parallel.WorkerPool`.  The
-    submitting thread's telemetry run id is captured per task and
-    re-entered on the worker thread, so events from workers land on
-    the run that submitted them.
+    The submitting thread's telemetry run id and lifecycle context
+    are captured per task and re-entered on the worker thread, so
+    events from workers land on the run that submitted them and a
+    cancel of the submitter's token reaches work on pool threads.
     """
 
     kind = "thread"
 
     def __init__(self, workers: int):
         super().__init__(workers=workers)
-        self._pool = WorkerPool(workers)
+        self._pool = ThreadPoolExecutor(max_workers=workers)
 
     def submit(self, fn: Callable, *args) -> "Future":
         from repro.instrument.events import current_run_id, run_scope
@@ -259,8 +279,6 @@ class ThreadExecutor(Executor):
             with run_scope(rid):
                 if context is None:
                     return fn(*args)
-                # Re-enter the submitter's lifecycle context so a
-                # cancel of its token reaches work on pool threads.
                 with run_context(context):
                     return fn(*args)
 
@@ -338,6 +356,8 @@ def _worker_main(conn) -> None:
         run_context,
     )
 
+    global _IN_WORKER
+    _IN_WORKER = True
     try:  # the parent handles interrupts; workers die by pill or pipe
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
@@ -533,7 +553,6 @@ class ProcessExecutor(Executor):
     """
 
     kind = "process"
-    distributed = True
 
     def __init__(
         self,
@@ -928,9 +947,14 @@ def create_executor(options: Optional[ParallelOptions] = None) -> Executor:
     ``thread`` with one worker degrades to :class:`SerialExecutor`
     (a one-thread pool buys nothing); ``process`` always builds the
     pool, even one worker wide — process isolation is part of what
-    was asked for.
+    was asked for.  Inside a ``process`` worker a ``process`` request
+    gets a thread pool of the same width instead: a task that fans out
+    again (a served job's or a batch file's ``explore_solvers``) never
+    spawns a pool of its own.
     """
     options = options or ParallelOptions()
+    if options.executor == "process" and _IN_WORKER:
+        options = ParallelOptions(executor="thread", workers=options.workers)
     if options.executor == "process":
         return ProcessExecutor(
             options.workers, task_timeout_s=options.task_timeout_s

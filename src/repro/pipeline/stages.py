@@ -39,6 +39,7 @@ untouched.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Tuple
@@ -87,9 +88,9 @@ class PipelineSession:
     """One design bound to a cache: the stage graph of a synthesis run.
 
     The session owns no mutable artifact state — every stage output
-    lives in the cache and is handed out as a private copy — so one
-    session may be driven from several worker threads at once (the
-    solver-space exploration does exactly that).
+    lives in the cache and is handed out as a private copy — so views
+    of one session may be driven from several worker threads at once
+    (the solver-space exploration does exactly that).
     """
 
     def __init__(
@@ -113,6 +114,16 @@ class PipelineSession:
         self.library = library if library is not None else default_library()
         self.cache = cache if cache is not None else ArtifactCache()
         self.library_fp = library_fingerprint(self.library)
+
+    def view(self, options=None) -> "PipelineSession":
+        """This session on a :meth:`~ArtifactCache.view` of its cache
+        (fresh counters, shared entries), optionally with other flow
+        options."""
+        view = copy.copy(self)
+        view.cache = self.cache.view()
+        if options is not None:
+            view.options = options
+        return view
 
     # -- the generic stage runner -----------------------------------------
 

@@ -36,8 +36,7 @@ from __future__ import annotations
 
 import json
 import time
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
@@ -51,9 +50,9 @@ from repro.instrument.events import (
 from repro.pipeline import (
     ArtifactCache,
     ParallelOptions,
+    Task,
+    cache_view,
     create_executor,
-    stats_delta,
-    worker_cache,
 )
 
 #: Per-file outcome buckets.
@@ -317,8 +316,12 @@ def run_source(
     return entry, result, error
 
 
-def _run_one(path: Path, options, library) -> BatchEntry:
-    """Synthesize one file; every failure becomes a FAILED entry."""
+def _run_one(path: Path, options, library):
+    """One batch file, the task every executor runs: synthesize it with
+    every failure turned into a FAILED entry.  Returns ``(entry, cache
+    counts)``; the counts are this file's lookups alone, for the
+    submitter to fold into the shared cache."""
+    cache = cache_view(options.cache)
     bus = active_bus()
     if bus is not None:
         bus.publish(
@@ -334,11 +337,11 @@ def _run_one(path: Path, options, library) -> BatchEntry:
             error=f"cannot read: {err}",
         )
         entry.elapsed_s = time.perf_counter() - start
-        return _finish_entry(entry, bus)
-    entry, _result, _error = run_source(
-        text, str(path), options, library
-    )
-    return _finish_entry(entry, bus)
+    else:
+        entry, _result, _error = run_source(
+            text, str(path), replace(options, cache=cache), library
+        )
+    return _finish_entry(entry, bus), cache.stats.as_dict()
 
 
 def _finish_entry(entry: BatchEntry, bus) -> BatchEntry:
@@ -359,28 +362,6 @@ def _finish_entry(entry: BatchEntry, bus) -> BatchEntry:
     return entry
 
 
-def _run_one_remote(
-    path_str: str, options, library, cache_dir: Optional[str]
-):
-    """One batch file inside a worker process.
-
-    The worker rebuilds its cache from the shared disk directory (the
-    memory tier stays warm per worker across tasks) and ships back the
-    cache-counter delta this file caused, so the submitting side's
-    aggregate report stays truthful."""
-    from dataclasses import replace
-
-    cache = worker_cache(cache_dir) if cache_dir is not None else None
-    before = cache.stats.as_dict() if cache is not None else None
-    opts = replace(options, cache=cache) if cache is not None else options
-    entry = _run_one(Path(path_str), opts, library)
-    delta = (
-        stats_delta(before, cache.stats.as_dict())
-        if cache is not None else None
-    )
-    return entry, delta
-
-
 def run_batch(
     files: Iterable[Path],
     options: Optional[object] = None,
@@ -389,7 +370,6 @@ def run_batch(
     cache: Optional[ArtifactCache] = None,
     ledger=None,
     source_label: Optional[str] = None,
-    jobs: Optional[int] = None,
     journal=None,
 ) -> BatchReport:
     """Synthesize every file, isolating failures per file.
@@ -410,9 +390,7 @@ def run_batch(
     the tail of the run.  ``cache`` is an artifact cache shared by
     every file of the run (stage keys are content-addressed, so
     sharing is always safe); under the ``process`` backend its on-disk
-    tier is the store the worker processes share.  ``jobs`` is the
-    deprecated pre-executor width knob (mapped onto ``parallel``, with
-    a :class:`DeprecationWarning`).
+    tier is the store the worker processes share.
 
     ``journal`` is a :class:`~repro.robust.journal.BatchJournal`: each
     completed entry is appended (fsync'd) as it finishes, and entries
@@ -430,19 +408,8 @@ def run_batch(
     ``ledger`` (:class:`~repro.instrument.ledger.RunLedger`) gets one
     batch-level record appended.
     """
-    from dataclasses import replace
-
     from repro.flow import FlowOptions, transportable_options
 
-    if jobs is not None:
-        warnings.warn(
-            "run_batch(jobs=...) is deprecated; pass "
-            "parallel=ParallelOptions(executor=..., workers=...)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if parallel is None:
-            parallel = ParallelOptions.from_jobs(jobs)
     if options is None:
         options = FlowOptions(recovery=True)
     if parallel is None:
@@ -494,71 +461,34 @@ def run_batch(
                     })
         batch_start = time.perf_counter()
 
-        effective = parallel.bounded(max(1, len(pending)))
-        if effective.executor != "serial" and len(pending) > 1:
-            # Long-pole scheduling: submit the expected-slowest files
-            # first.  Input order is restored via the indices.
-            order = schedule_longest_first(
-                [path for _, path in pending], ledger
-            )
-            pending = [pending[position] for position in order]
-
-        def journal_entry(index: int, entry: BatchEntry) -> None:
-            if journal is not None and keys[index] is not None:
-                journal.record(keys[index], entry.as_dict())
-
         # The executor propagates this scope's run id to its workers
         # (thread workers re-enter it, process workers ship it and
         # forward their telemetry), so the whole batch shares one run.
-        with create_executor(effective) as executor:
-            if executor.distributed:
-                shared = options.cache
-                cache_dir = (
-                    str(shared.disk_dir)
-                    if shared is not None and shared.disk_dir is not None
-                    else None
+        # Results come back in submission order and each entry is
+        # journaled as it arrives; the serial executor runs a file only
+        # when its result is asked for, so a kill at any point loses at
+        # most the file that was running.
+        shared = options.cache
+        opts = transportable_options(options)
+        with create_executor(parallel.bounded(len(pending))) as executor:
+            if executor.workers > 1:
+                # Long-pole scheduling: submit the expected-slowest
+                # files first.  Input order is restored via the indices.
+                order = schedule_longest_first(
+                    [path for _, path in pending], ledger
                 )
-                opts = transportable_options(options)
-                futures = [
-                    executor.submit(
-                        _run_one_remote, str(path), opts, library,
-                        cache_dir,
-                    )
-                    for _, path in pending
-                ]
-                try:
-                    for (index, _path), future in zip(pending, futures):
-                        entry, delta = future.result()
-                        if delta is not None and shared is not None:
-                            shared.stats.apply_delta(delta)
-                        entries[index] = entry
-                        journal_entry(index, entry)
-                except BaseException:
-                    for future in futures:
-                        future.cancel()
-                    raise
-            elif executor.kind == "serial":
-                # Inline, one file at a time: each entry is journaled
-                # before the next file starts, so a kill at any point
-                # loses at most the file that was running.
-                for index, path in pending:
-                    entry = _run_one(path, options, library)
-                    entries[index] = entry
-                    journal_entry(index, entry)
-            else:
-                futures = [
-                    executor.submit(_run_one, path, options, library)
-                    for _, path in pending
-                ]
-                try:
-                    for (index, _path), future in zip(pending, futures):
-                        entry = future.result()
-                        entries[index] = entry
-                        journal_entry(index, entry)
-                except BaseException:
-                    for future in futures:
-                        future.cancel()
-                    raise
+                pending = [pending[position] for position in order]
+            tasks = [
+                Task(_run_one, (path, opts, library)) for _, path in pending
+            ]
+            for (entry, counts), (index, _path) in zip(
+                executor.iter_ordered(tasks), pending
+            ):
+                if shared is not None:
+                    shared.fold(counts)
+                entries[index] = entry
+                if journal is not None and keys[index] is not None:
+                    journal.record(keys[index], entry.as_dict())
         report.entries = [entry for entry in entries if entry is not None]
         report.elapsed_s = time.perf_counter() - batch_start
         if cache is not None:

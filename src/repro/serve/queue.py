@@ -9,17 +9,19 @@ HTTP-specific, so it is directly testable:
   the telemetry run id), and rejects with :class:`QueueFullError` once
   ``queue_limit`` jobs are already waiting;
 * **execution** — a persistent
-  :class:`~repro.pipeline.parallel.WorkerPool` of orchestration
-  threads runs each job through
-  :func:`~repro.robust.batch.run_source`, the batch runner's
-  fault-isolating core, inside a
-  :func:`~repro.instrument.events.run_scope` tagged with the job id —
-  so every telemetry event of the job carries it.  With the
-  ``process`` backend (``vase serve --executor process``) the
-  synthesis itself is delegated to a resident
-  :class:`~repro.pipeline.ProcessExecutor`: spawned workers run the
-  flow off the GIL, share the cache's on-disk tier, and forward
-  their telemetry over the result channel so SSE streams stay dense;
+  :class:`~repro.pipeline.ThreadExecutor` of orchestration threads
+  hands each job's one unit of work (:func:`_run_job`: the batch
+  runner's fault-isolating :func:`~repro.robust.batch.run_source`,
+  the rendered artifacts, the ledger record) to the job runner,
+  inside a :func:`~repro.instrument.events.run_scope` tagged with the
+  job id and the job's run context — so every telemetry event of the
+  job carries the id and a cancel reaches every checkpoint.  The
+  runner is a :class:`~repro.pipeline.SerialExecutor` (the job runs
+  on its orchestration thread) or, with ``vase serve --executor
+  process``, a resident :class:`~repro.pipeline.ProcessExecutor`:
+  spawned workers run the flow off the GIL, share the cache's
+  on-disk tier, and forward their telemetry over the result channel
+  so SSE streams stay dense;
 * **observability** — :meth:`JobManager.route`, subscribed to the
   process-wide bus, files each event into the owning job's bounded
   :class:`JobEventLog`; late SSE subscribers replay from seq 0 and
@@ -58,9 +60,10 @@ from repro.pipeline import (
     EXECUTOR_KINDS,
     ParallelOptions,
     ProcessExecutor,
-    worker_cache,
+    SerialExecutor,
+    ThreadExecutor,
+    cache_view,
 )
-from repro.pipeline.parallel import WorkerPool
 from repro.robust.lifecycle import (
     CancellationToken,
     RunContext,
@@ -77,9 +80,9 @@ TERMINAL_STATUSES = ("ok", "degraded", "failed", STATUS_CANCELLED)
 #: whitelisted per-job flow options a POST may override
 ALLOWED_OPTIONS = (
     "deadline_s", "budget_s", "recovery", "explore_solvers",
-    "executor", "workers", "jobs",
+    "executor", "workers",
 )
-#: cap on the per-job ``workers``/``jobs`` override (solver-exploration
+#: cap on the per-job ``workers`` override (solver-exploration
 #: fan-out; the ``process`` backend is capped by the same bound)
 MAX_JOB_FANOUT = 8
 
@@ -173,17 +176,6 @@ def build_job_options(base, payload: Optional[Dict[str, object]]):
             raise JobOptionsError(
                 f"workers must be an integer in [1, {MAX_JOB_FANOUT}]"
             )
-    if "jobs" in payload:
-        fanout = payload["jobs"]
-        if isinstance(fanout, bool) or not isinstance(fanout, int) \
-                or not 1 <= fanout <= MAX_JOB_FANOUT:
-            raise JobOptionsError(
-                f"jobs must be an integer in [1, {MAX_JOB_FANOUT}]"
-            )
-        # The deprecated alias: only meaningful when the first-class
-        # knobs are absent.
-        if kind is None and width is None:
-            parallel = ParallelOptions.from_jobs(fanout)
     if kind is not None or width is not None:
         if width is None:
             width = max(1, parallel.workers)
@@ -199,12 +191,7 @@ def build_job_options(base, payload: Optional[Dict[str, object]]):
 
 
 def render_artifacts(label: str, result) -> Dict[str, str]:
-    """Render the fetchable artifacts of a finished synthesis.
-
-    Module-level (not a manager method) because the ``process``
-    execution backend renders worker-side: strings pickle cheaply,
-    live :class:`~repro.flow.SynthesisResult` objects should not have
-    to."""
+    """Render the fetchable artifacts of a finished synthesis."""
     from repro.report import generate_report
     from repro.spice import to_spice_deck
 
@@ -225,57 +212,66 @@ def render_artifacts(label: str, result) -> Dict[str, str]:
     return artifacts
 
 
-def _run_job_remote(
+def _run_job(
     source: str,
     label: str,
     entity: Optional[str],
     options,
     library,
-    cache_dir: Optional[str],
     want_record: bool,
 ) -> Dict[str, object]:
-    """One served job inside a worker process.
+    """One served job, the task every job runner executes.
 
-    Runs the same fault-isolating core as the thread path
-    (:func:`~repro.robust.batch.run_source`), renders the artifacts
-    and builds the ledger record here — worker-side — and returns only
-    picklable plain data."""
-    from dataclasses import replace as _replace
+    Runs the batch runner's fault-isolating core
+    (:func:`~repro.robust.batch.run_source`) on its own view of the
+    shared cache, renders the artifacts and builds the ledger record
+    here — next to the live result — and returns only picklable plain
+    data: the entry, the artifact strings, the record and this job's
+    cache counts."""
+    from repro.robust.batch import run_source
 
+    cache = cache_view(options.cache)
+    entry, result, error = run_source(
+        source, label, replace(options, cache=cache), library,
+        entity_name=entity,
+    )
+    return {
+        "entry": entry,
+        "artifacts": (
+            render_artifacts(label, result) if result is not None else {}
+        ),
+        "record": (
+            _job_record(entry, source, label, options, result, error)
+            if want_record else None
+        ),
+        "cache": cache.stats.as_dict(),
+    }
+
+
+def _job_record(entry, source: str, label: str, options,
+                result=None, error: Optional[BaseException] = None):
+    """The ledger record of one served job's outcome (the run id is
+    the job id, current while the job runs)."""
     from repro.instrument.ledger import (
         record_for_cancelled,
         record_for_failure,
         record_for_result,
     )
-    from repro.robust.batch import run_source
 
-    opts = options
-    if cache_dir is not None:
-        opts = _replace(options, cache=worker_cache(cache_dir))
-    entry, result, error = run_source(
-        source, label, opts, library, entity_name=entity
-    )
-    artifacts: Dict[str, str] = {}
-    record = None
     if result is not None:
-        artifacts = render_artifacts(label, result)
-        if want_record:
-            record = record_for_result(
-                result, source, label, entry.elapsed_s, options,
-            )
-    elif want_record and entry.status == STATUS_CANCELLED:
-        record = record_for_cancelled(
+        return record_for_result(
+            result, source, label, entry.elapsed_s, options,
+        )
+    if entry.status == STATUS_CANCELLED:
+        return record_for_cancelled(
             current_run_id() or "", source, label, entry.elapsed_s,
             options, entry.error or "cancelled",
         )
-    elif want_record:
-        record = record_for_failure(
-            current_run_id() or "", source, label, entry.elapsed_s,
-            options,
-            error if error is not None
-            else RuntimeError(entry.error or "failed"),
-        )
-    return {"entry": entry, "artifacts": artifacts, "record": record}
+    return record_for_failure(
+        current_run_id() or "", source, label, entry.elapsed_s, options,
+        error if error is not None
+        else RuntimeError(entry.error or "failed"),
+    )
 
 
 class JobEventLog:
@@ -370,8 +366,8 @@ class Job:
     )
     #: True once a cancel was requested (queued or running)
     cancel_requested: bool = False
-    #: the in-flight process-pool future (``--executor process`` only)
-    remote_future: Optional[object] = field(default=None, repr=False)
+    #: the in-flight future of the job's task on the job runner
+    future: Optional[object] = field(default=None, repr=False)
 
     @property
     def terminal(self) -> bool:
@@ -421,9 +417,9 @@ class JobManager:
         execution: Optional[ParallelOptions] = None,
     ):
         """``execution`` selects the resident backend jobs run on:
-        ``thread`` (default; ``workers`` wide, the pre-executor
-        behavior) or ``process`` — the orchestration threads stay, but
-        each job's synthesis is delegated to a resident
+        ``thread`` (default; ``workers`` orchestration threads, each
+        running its job inline) or ``process`` — the orchestration
+        threads stay, but each job runs on a resident
         :class:`~repro.pipeline.ProcessExecutor` of the same width.
         ``serial`` degrades to one orchestration thread."""
         if queue_limit < 1:
@@ -441,12 +437,12 @@ class JobManager:
             1 if self.execution.executor == "serial"
             else max(1, self.execution.workers)
         )
-        self._pool = WorkerPool(width)
-        self._remote: Optional[ProcessExecutor] = (
+        self._pool = ThreadExecutor(width)
+        self._runner = (
             ProcessExecutor(
                 width, task_timeout_s=self.execution.task_timeout_s
             )
-            if self.execution.executor == "process" else None
+            if self.execution.executor == "process" else SerialExecutor()
         )
         self._lock = threading.Lock()
         self._jobs: "Dict[str, Job]" = {}
@@ -518,7 +514,7 @@ class JobManager:
                     CATEGORY_LIFECYCLE,
                     {"kind": "job", "phase": "queued", "label": job.label},
                 )
-        self._pool.submit(lambda: self._execute(job))
+        self._pool.submit(self._execute, job)
         return job
 
     def _prune_locked(self) -> None:
@@ -534,13 +530,6 @@ class JobManager:
     # -- execution (worker threads) -----------------------------------------
 
     def _execute(self, job: Job) -> None:
-        from repro.instrument.ledger import (
-            record_for_cancelled,
-            record_for_failure,
-            record_for_result,
-        )
-        from repro.robust.batch import run_source
-
         with self._lock:
             if job.status != STATUS_QUEUED:
                 # Cancelled while queued: cancel() already finalized
@@ -555,24 +544,7 @@ class JobManager:
                     CATEGORY_LIFECYCLE,
                     {"kind": "job", "phase": "running", "label": job.label},
                 )
-            result = None
-            error: Optional[BaseException] = None
-            record = None
-            if self._remote is not None:
-                entry, record = self._execute_remote(job)
-            else:
-                # The job's token becomes the thread-path run context,
-                # so cancel() reaches every checkpoint of the flow.
-                with run_context(RunContext(token=job.token)):
-                    entry, result, error = run_source(
-                        job.source,
-                        job.label,
-                        job.options,
-                        self.library,
-                        entity_name=job.entity,
-                    )
-                if result is not None:
-                    job.artifacts = render_artifacts(job.label, result)
+            entry, record = self._run(job)
             if bus is not None:
                 payload: Dict[str, object] = {
                     "kind": "job",
@@ -586,29 +558,9 @@ class JobManager:
                         and entry.error:
                     payload["error"] = entry.error
                 bus.publish(CATEGORY_LIFECYCLE, payload)
-        if self.ledger is not None:
+        if record is not None:
             try:
-                if record is not None:
-                    # Remote execution built the record worker-side;
-                    # only the append happens here.
-                    self.ledger.append(record)
-                elif result is not None:
-                    self.ledger.append(record_for_result(
-                        result, job.source, job.label,
-                        entry.elapsed_s, job.options,
-                    ))
-                elif entry.status == STATUS_CANCELLED:
-                    self.ledger.append(record_for_cancelled(
-                        job.id, job.source, job.label, entry.elapsed_s,
-                        job.options, entry.error or "cancelled",
-                    ))
-                else:
-                    self.ledger.append(record_for_failure(
-                        job.id, job.source, job.label, entry.elapsed_s,
-                        job.options,
-                        error if error is not None
-                        else RuntimeError(entry.error or "failed"),
-                    ))
+                self.ledger.append(record)
             except OSError:  # pragma: no cover - ledger on a full disk
                 pass
         with self._lock:
@@ -626,15 +578,19 @@ class JobManager:
         # woken by close() always observes the final state.
         job.events.close()
 
-    def _execute_remote(self, job: Job):
-        """Run one job on the resident process pool.
+    def _run(self, job: Job):
+        """Run one job's task on the job runner: ``(entry, record)``.
 
-        The worker gets a picklable payload (no live cache/bus/ledger;
-        the shared cache travels as its disk directory) and sends back
-        the entry, the rendered artifact strings and — when a ledger is
-        configured — the ready-to-append record, so nothing that needs
-        the live ``SynthesisResult`` runs on this side.  A crashed or
-        timed-out worker surfaces as a FAILED entry, never a hang.
+        The task gets a picklable payload (no live bus or ledger; the
+        shared cache travels as its store) and sends back the entry,
+        the rendered artifact strings, the ledger record (when a
+        ledger is configured) and its cache counts, folded here into
+        the shared cache.  The job's token is the run context around
+        the call, so a cancel reaches every checkpoint of a job running
+        inline; a process worker gets it relayed over its pipe.  A
+        task that never returned (cancelled before it started, crashed
+        or timed-out worker) becomes a CANCELLED or FAILED entry whose
+        record is built here — never a hang.
         """
         from concurrent.futures import CancelledError as FutureCancelled
 
@@ -643,56 +599,46 @@ class JobManager:
         from repro.robust.batch import BatchEntry
         from repro.robust.lifecycle import CancelledError
 
-        options = transportable_options(job.options)
-        fanout = job.options.parallel
-        if fanout != ParallelOptions():
-            # Preserve the job's solver-exploration fan-out inside the
-            # worker — downgraded to threads, since a spawned worker
-            # must not spawn its own process pool.
-            options = replace(options, parallel=ParallelOptions(
-                executor="thread" if fanout.workers > 1 else "serial",
-                workers=fanout.workers,
-            ))
-        shared = self.options.cache
-        cache_dir = (
-            str(shared.disk_dir)
-            if shared is not None and shared.disk_dir is not None
-            else None
-        )
-        future = self._remote.submit(
-            _run_job_remote,
-            job.source, job.label, job.entity, options,
-            self.library, cache_dir, self.ledger is not None,
+        future = self._runner.submit(
+            _run_job, job.source, job.label, job.entity,
+            transportable_options(job.options),
+            self.library, self.ledger is not None,
         )
         with self._lock:
-            job.remote_future = future
+            job.future = future
         if job.cancel_requested:
-            # cancel() raced ahead of the submission; relay it now so
-            # the worker-side token still gets the request.
+            # cancel() raced ahead of the submission; relay it now.
             future.cancel()
         try:
-            outcome = future.result()
+            with run_context(RunContext(token=job.token)):
+                outcome = future.result()
         except CancelledError as err:
             entry = BatchEntry(
                 file=job.label, status=STATUS_CANCELLED, error=str(err),
             )
-            return entry, None
         except FutureCancelled:
             entry = BatchEntry(
                 file=job.label, status=STATUS_CANCELLED,
                 error=job.token.reason or "cancelled",
             )
-            return entry, None
         except VaseError as err:
             entry = BatchEntry(
                 file=job.label, status="failed", error=str(err),
             )
-            return entry, None
+        else:
+            if self.options.cache is not None:
+                self.options.cache.fold(outcome["cache"])
+            job.artifacts = outcome["artifacts"]
+            return outcome["entry"], outcome["record"]
         finally:
             with self._lock:
-                job.remote_future = None
-        job.artifacts = outcome["artifacts"]
-        return outcome["entry"], outcome["record"]
+                job.future = None
+        # The task never returned: the record is built here instead.
+        record = (
+            _job_record(entry, job.source, job.label, job.options)
+            if self.ledger is not None else None
+        )
+        return entry, record
 
     # -- queries -------------------------------------------------------------
 
@@ -726,8 +672,8 @@ class JobManager:
         ``cancelled`` status, ledger record, closed event log — its
         scheduled execution slot becomes a no-op).  A *running* job is
         cancelled cooperatively: its token is set, so the flow abandons
-        work at the next checkpoint; under the ``process`` backend the
-        request is additionally relayed to the worker over its pipe.
+        work at the next checkpoint; a job on a process worker gets the
+        request relayed over the worker's pipe.
         A terminal job raises :class:`JobConflictError`.
         """
         job = self.get(job_id)
@@ -745,10 +691,10 @@ class JobManager:
                 self.done[STATUS_CANCELLED] = (
                     self.done.get(STATUS_CANCELLED, 0) + 1
                 )
-            remote = job.remote_future
+            future = job.future
         job.token.cancel(reason)
-        if remote is not None:
-            remote.cancel()
+        if future is not None:
+            future.cancel()
         if was_queued:
             self._finalize_cancelled_queued(job, reason)
         return job
@@ -832,5 +778,4 @@ class JobManager:
         with self._lock:
             self._closed = True
         self._pool.shutdown(wait=wait)
-        if self._remote is not None:
-            self._remote.shutdown(wait=wait)
+        self._runner.shutdown(wait=wait)

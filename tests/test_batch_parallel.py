@@ -4,7 +4,8 @@ Satellite coverage: ``vase batch --executor thread --workers 4 --json``
 must be byte-identical to the serial run (with ``--no-timing``, since
 wall-clock fields differ even between two serial runs), a shared
 on-disk cache must make the second batch run all-hits, and the
-deprecated ``jobs`` knob must keep working behind a shim that warns.
+removed ``jobs`` knob must be refused everywhere it used to be
+accepted.
 """
 
 import json
@@ -17,7 +18,12 @@ import pytest
 from repro.apps import ALL_APPLICATIONS
 from repro.cli import main
 from repro.flow import FlowOptions
-from repro.pipeline import ArtifactCache, ParallelOptions, run_parallel
+from repro.pipeline import (
+    ArtifactCache,
+    ParallelOptions,
+    Task,
+    ThreadExecutor,
+)
 from repro.robust.batch import run_batch
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -45,16 +51,17 @@ def corpus(tmp_path):
 
 
 class TestRunParallel:
+    """``ThreadExecutor.map_ordered``: the thread pool batch runs use."""
+
     def test_results_keep_submission_order(self):
         delays = [0.05, 0.0, 0.02, 0.0]
 
-        def thunk(index):
-            def run():
-                time.sleep(delays[index])
-                return index
-            return run
+        def run(index):
+            time.sleep(delays[index])
+            return index
 
-        results = run_parallel([thunk(i) for i in range(4)], jobs=4)
+        with ThreadExecutor(4) as pool:
+            results = pool.map_ordered([Task(run, (i,)) for i in range(4)])
         assert results == [0, 1, 2, 3]
 
     def test_actually_concurrent(self):
@@ -64,13 +71,14 @@ class TestRunParallel:
             barrier.wait()
             return True
 
-        # Three thunks all blocked on one barrier only finish if they
+        # Three tasks all blocked on one barrier only finish if they
         # really run at the same time.
-        assert run_parallel([wait] * 3, jobs=3) == [True, True, True]
+        with ThreadExecutor(3) as pool:
+            assert pool.map_ordered([Task(wait)] * 3) == [True] * 3
 
     def test_rejects_nonpositive_jobs(self):
-        with pytest.raises(ValueError):
-            run_parallel([lambda: 1], jobs=0)
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            ThreadExecutor(0)
 
 
 class TestParallelBatchDeterminism:
@@ -144,38 +152,23 @@ class TestSharedBatchCache:
         assert stats["hits"] > 0
 
 
-class TestDeprecatedJobsShim:
-    """The old bare ``jobs`` knob keeps working but warns, and maps
-    onto :class:`ParallelOptions` exactly as documented."""
+class TestRemovedJobsKnob:
+    """``--executor thread --workers N`` replaced the ``jobs`` knob; every
+    place that once accepted it now refuses it."""
 
-    def test_flow_options_jobs_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="jobs"):
-            options = FlowOptions(jobs=4)
-        assert options.jobs is None
-        assert options.parallel == ParallelOptions(
-            executor="thread", workers=4
-        )
+    @pytest.mark.parametrize("jobs", [1, 4])
+    def test_flow_options_rejects_jobs(self, jobs):
+        with pytest.raises(TypeError, match="jobs"):
+            FlowOptions(jobs=jobs)
 
-    def test_flow_options_jobs_one_stays_serial(self):
-        with pytest.warns(DeprecationWarning, match="jobs"):
-            options = FlowOptions(jobs=1)
-        assert options.parallel == ParallelOptions()
+    def test_run_batch_rejects_jobs(self, corpus):
+        with pytest.raises(TypeError, match="jobs"):
+            run_batch(sorted(corpus.iterdir()), jobs=4)
 
-    def test_run_batch_jobs_warns_and_matches_new_api(self, corpus):
-        files = sorted(corpus.iterdir())
-        with pytest.warns(DeprecationWarning, match="jobs"):
-            legacy = run_batch(files, jobs=4)
-        modern = run_batch(
-            files, parallel=ParallelOptions(executor="thread", workers=4)
-        )
-        assert legacy.as_dict(timing=False) == modern.as_dict(timing=False)
-
-    def test_cli_jobs_flag_warns_on_stderr(self, corpus, tmp_path, capsys):
-        out = tmp_path / "report.json"
-        main([
-            "batch", str(corpus), "--jobs", "2", "--json", str(out),
-            "--no-timing",
-        ])
-        captured = capsys.readouterr()
-        assert "--jobs is deprecated" in captured.err
-        assert out.exists()
+    @pytest.mark.parametrize("verb", ["synth", "batch", "serve"])
+    def test_cli_jobs_flag_is_an_argparse_error(self, verb, corpus, capsys):
+        target = [] if verb == "serve" else [str(corpus)]
+        with pytest.raises(SystemExit) as excinfo:
+            main([verb, *target, "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err

@@ -15,8 +15,9 @@ Tentpole coverage of the executor redesign:
 * telemetry published inside a worker process is forwarded over the
   result channel and re-published on the submitting run's bus with
   dense per-run sequence numbers;
-* :class:`ParallelOptions` validates its knobs and the ``jobs`` shims
-  (``FlowOptions.jobs``, ``run_batch(jobs=...)``) map onto it.
+* :class:`ParallelOptions` validates its knobs;
+* the three units of work — a solver attempt, a batch file, a served
+  job — produce the same results on every backend.
 
 Process-backend task functions live at module level: the ``spawn``
 start method pickles tasks by reference, so a worker re-imports this
@@ -24,6 +25,7 @@ module to find them.
 """
 
 import os
+import re
 import time
 from pathlib import Path
 
@@ -31,9 +33,11 @@ import pytest
 
 from repro.apps import ALL_APPLICATIONS
 from repro.diagnostics import VaseError
+from repro.flow import FlowOptions, synthesize
 from repro.instrument import (
     CATEGORY_METRIC,
     RingBuffer,
+    RunLedger,
     TelemetryBus,
     active_bus,
     run_scope,
@@ -51,9 +55,28 @@ from repro.pipeline import (
     create_executor,
 )
 from repro.robust.batch import run_batch
-from repro.serve.queue import JobOptionsError, build_job_options
+from repro.serve.queue import JobManager, JobOptionsError, build_job_options
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
+
+#: Two DAE causalizations that map to different areas, so solver
+#: exploration has two attempts to run and a winner to pick.
+TWO_SOLVERS = """
+entity mix is
+  port (quantity u : in real;
+        quantity y : out real);
+end entity mix;
+
+architecture beh of mix is
+  quantity a : real;
+  quantity b : real;
+begin
+  a == 2.0 * u;
+  a + b == 3.0 * u;
+  a - b == u;
+  y == a + b;
+end architecture beh;
+"""
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +109,13 @@ def _publish_metrics(count):
     for n in range(count):
         bus.publish(CATEGORY_METRIC, {"n": n, "pid": os.getpid()})
     return count
+
+
+def _nested_executor_kind(workers):
+    with create_executor(
+        ParallelOptions(executor="process", workers=workers)
+    ) as executor:
+        return executor.kind, executor.workers
 
 
 @pytest.fixture
@@ -124,14 +154,6 @@ class TestParallelOptions:
         with pytest.raises(ValueError, match="task_timeout_s"):
             ParallelOptions(task_timeout_s=0.0)
 
-    def test_from_jobs_maps_like_the_old_knob(self):
-        assert ParallelOptions.from_jobs(1) == ParallelOptions()
-        assert ParallelOptions.from_jobs(4) == ParallelOptions(
-            executor="thread", workers=4
-        )
-        with pytest.raises(ValueError):
-            ParallelOptions.from_jobs(0)
-
     def test_bounded_clamps_width_to_task_count(self):
         wide = ParallelOptions(executor="process", workers=8)
         assert wide.bounded(3).workers == 3
@@ -153,7 +175,6 @@ class TestParallelOptions:
         try:
             assert isinstance(thread, ThreadExecutor)
             assert isinstance(thread, Executor)
-            assert not thread.distributed
         finally:
             thread.shutdown()
 
@@ -345,3 +366,146 @@ class TestServeJobOptionValidation:
             build_job_options(self._base(), {"workers": 99})
         with pytest.raises(JobOptionsError, match="workers"):
             build_job_options(self._base(), {"workers": 0})
+
+
+class TestNestedFanOut:
+    """A task that fans out again keeps the ``parallel`` it was given;
+    only inside a process worker does a process request become a
+    thread pool of the same width."""
+
+    @pytest.fixture
+    def requested(self, monkeypatch):
+        import repro.flow
+
+        seen = []
+
+        def record(options=None):
+            seen.append(options)
+            return SerialExecutor()
+
+        monkeypatch.setattr(repro.flow, "create_executor", record)
+        return seen
+
+    def test_process_worker_fans_out_on_threads(self):
+        with ProcessExecutor(1) as executor:
+            kind = executor.submit(_nested_executor_kind, 2).result()
+        assert kind == ("thread", 2)
+
+    def test_served_job_keeps_its_fan_out(self, requested):
+        manager = JobManager(FlowOptions(recovery=True))
+        try:
+            job = manager.submit(
+                TWO_SOLVERS, label="mix.vhd",
+                options={
+                    "explore_solvers": True,
+                    "executor": "process", "workers": 2,
+                },
+            )
+            deadline = time.time() + 60.0
+            while not job.terminal:
+                assert time.time() < deadline, "job did not finish"
+                time.sleep(0.02)
+        finally:
+            manager.stop(wait=True)
+        assert job.status == "ok"
+        assert requested == [ParallelOptions(executor="process", workers=2)]
+
+    def test_batch_file_keeps_its_fan_out(self, requested, tmp_path):
+        source = tmp_path / "mix.vhd"
+        source.write_text(TWO_SOLVERS)
+        fan_out = ParallelOptions(executor="thread", workers=2)
+        report = run_batch(
+            [source],
+            options=FlowOptions(explore_solvers=True, parallel=fan_out),
+            parallel=ParallelOptions(),
+        )
+        assert [entry.status for entry in report.entries] == ["ok"]
+        assert requested == [fan_out]
+
+
+def _task_outcomes(kind, corpus, root):
+    """A solver exploration, a batch and a served job on ``kind``."""
+    parallel = ParallelOptions(executor=kind, workers=2)
+    explored = synthesize(
+        TWO_SOLVERS,
+        options=FlowOptions(explore_solvers=True, parallel=parallel),
+    )
+    batch = run_batch(corpus, parallel=parallel)
+    ledger = RunLedger(root / "ledger.jsonl")
+    manager = JobManager(
+        FlowOptions(
+            recovery=True, cache=ArtifactCache(disk_dir=root / "cache"),
+        ),
+        ledger=ledger,
+        execution=ParallelOptions(executor=kind, workers=1),
+    )
+    try:
+        job = manager.submit(
+            TWO_SOLVERS, label="mix.vhd",
+            options={"explore_solvers": True, "workers": 2},
+        )
+        deadline = time.time() + 60.0
+        while not job.terminal:
+            assert time.time() < deadline, "job did not finish"
+            time.sleep(0.02)
+    finally:
+        manager.stop(wait=True)
+    (record,) = ledger.records()
+    record = record.as_dict()
+    for varying in ("run_id", "ts", "durations"):
+        record.pop(varying)
+
+    def untimed(text):
+        text = re.sub(r"run id: `\w+`", "run id: ?", text)
+        return re.sub(r"\d+\.\d+ ms", "? ms", text)
+
+    return {
+        "solver_exploration": [
+            o.as_dict() for o in explored.solver_exploration
+        ],
+        "netlist": explored.netlist.describe(),
+        "entries": batch.as_dict(timing=False),
+        "job": (job.status, job.summary, job.warnings),
+        "artifacts": {
+            name: untimed(text) for name, text in job.artifacts.items()
+        },
+        "record": record,
+    }
+
+
+@pytest.fixture(scope="module")
+def task_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("task-corpus")
+    for name in ("power_meter", "function_generator"):
+        (root / f"{name}.vhd").write_text(
+            ALL_APPLICATIONS[name].VASS_SOURCE
+        )
+    return sorted(root.iterdir())
+
+
+@pytest.fixture(scope="module")
+def serial_outcomes(task_corpus, tmp_path_factory):
+    return _task_outcomes(
+        "serial", task_corpus, tmp_path_factory.mktemp("serial")
+    )
+
+
+class TestOneTaskModel:
+    """Each unit of work — a solver attempt, a batch file, a served job
+    — is one task that every backend runs the same way, so results are
+    the same on all three (run ids and timings aside)."""
+
+    def test_reference_exercises_every_task(self, serial_outcomes):
+        assert len(serial_outcomes["solver_exploration"]) == 2
+        assert serial_outcomes["entries"]["ok"] == 2
+        assert serial_outcomes["job"][0] == "ok"
+        report = serial_outcomes["artifacts"]["report"]
+        assert "Solver-space exploration" in report
+        assert serial_outcomes["record"]["cache"]["misses"] > 0
+
+    @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
+    def test_same_results_on_every_executor(
+        self, kind, task_corpus, serial_outcomes, tmp_path
+    ):
+        assert _task_outcomes(kind, task_corpus, tmp_path) == \
+            serial_outcomes

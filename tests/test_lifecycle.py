@@ -667,6 +667,41 @@ class TestBatchResume:
             run_batch(corpus, options=options, journal=journal)
         assert calls == [str(corpus[1])]
 
+    def test_serial_batch_journals_each_entry_before_the_next_starts(
+        self, corpus, tmp_path
+    ):
+        """The serial executor runs a file only when its result is
+        asked for, so entry *i* is on disk before file *i+1* starts."""
+        journal_path = tmp_path / "batch.journal"
+        journaled_at_start = []
+
+        def on_event(event):
+            payload = event.payload
+            if payload.get("kind") == "file" \
+                    and payload.get("phase") == "started":
+                lines = (
+                    journal_path.read_text().splitlines()
+                    if journal_path.exists() else []
+                )
+                journaled_at_start.append(len(lines))
+
+        previous = disable_telemetry()
+        bus = TelemetryBus()
+        bus.subscribe(on_event)
+        enable_telemetry(bus)
+        try:
+            with BatchJournal(journal_path) as journal:
+                report = run_batch(
+                    corpus, options=FlowOptions(recovery=True),
+                    journal=journal,
+                )
+        finally:
+            disable_telemetry()
+            if previous is not None:
+                enable_telemetry(previous)
+        assert report.ok == len(corpus)
+        assert journaled_at_start == list(range(len(corpus)))
+
     def test_cancelled_entry_surfaces_in_the_report(self, corpus):
         # mapper.cancel needs an installed run context; a generous
         # whole-flow budget provides one without expiring.

@@ -94,6 +94,28 @@ class TestLadderStageReuse:
         assert cache.stats.stage_misses["enumerate_solvers"] == 1
 
 
+class TestPerRunCacheStats:
+    def test_result_counts_its_own_lookups_on_a_shared_cache(self):
+        """``cache_stats`` is the run's own view; the shared cache
+        still accumulates every run's counts."""
+        cache = ArtifactCache()
+        cold = synthesize(BIQUAD, options=FlowOptions(cache=cache))
+        warm = synthesize(BIQUAD, options=FlowOptions(cache=cache))
+        assert cold.cache_stats["hits"] == 0
+        assert cold.cache_stats["misses"] > 0
+        assert warm.cache_stats["misses"] == 0
+        assert warm.cache_stats["hits"] > 0
+        assert cache.stats.misses == cold.cache_stats["misses"]
+        assert cache.stats.hits == warm.cache_stats["hits"]
+
+    def test_failed_run_still_reaches_the_shared_counters(self):
+        cache = ArtifactCache()
+        with inject_faults("mapper.infeasible"):
+            with pytest.raises(SynthesisError):
+                synthesize(BIQUAD, options=FlowOptions(cache=cache))
+        assert cache.stats.stage_misses["map"] == 1
+
+
 class TestExploreSolvers:
     def test_maps_every_causalization_and_picks_best_area(self):
         result = synthesize(

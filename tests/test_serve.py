@@ -9,7 +9,7 @@ import urllib.request
 
 import pytest
 
-from repro.apps import biquad_filter
+from repro.apps import ALL_APPLICATIONS, biquad_filter
 from repro.flow import FlowOptions, synthesize
 from repro.instrument import (
     RunLedger,
@@ -18,7 +18,7 @@ from repro.instrument import (
     enable_telemetry,
     validate_exposition,
 )
-from repro.pipeline import ArtifactCache
+from repro.pipeline import ArtifactCache, ParallelOptions
 from repro.serve import (
     JobManager,
     JobOptionsError,
@@ -374,9 +374,11 @@ class TestOptionWhitelist:
         built = build_job_options(self.BASE, {flag: False})
         assert getattr(built, flag) is False
 
-    @pytest.mark.parametrize("fanout", [0, 9, 1.5, True])
+    @pytest.mark.parametrize("fanout", [0, 2, 9, 1.5, True])
     def test_jobs_range_enforced(self, fanout):
-        with pytest.raises(JobOptionsError, match="jobs"):
+        """``jobs`` is not an option any more (``workers`` replaced it):
+        every value, in range or not, is refused as unknown."""
+        with pytest.raises(JobOptionsError, match="unknown option"):
             build_job_options(self.BASE, {"jobs": fanout})
 
     def test_ledger_always_stripped(self):
@@ -457,7 +459,7 @@ class TestProcessBackendServe:
             # queued — either way the crash must surface as FAILED).
             deadline = time.time() + 60.0
             while time.time() < deadline:
-                workers = list(manager._remote._handles)
+                workers = list(manager._runner._handles)
                 if workers and job.status in ("queued", "running"):
                     for handle in workers:
                         if handle.busy:
@@ -471,6 +473,61 @@ class TestProcessBackendServe:
             )
         finally:
             manager.stop(wait=True)
+
+
+def _serve_in_turn(root, backend, sources):
+    """Serve ``(label, source)`` pairs one after another on a fresh
+    manager whose jobs share one disk cache; (jobs, ledger records)."""
+    ledger = RunLedger(root / "ledger.jsonl")
+    manager = JobManager(
+        FlowOptions(
+            recovery=True, cache=ArtifactCache(disk_dir=root / "cache"),
+        ),
+        ledger=ledger,
+        execution=ParallelOptions(executor=backend, workers=1),
+    )
+    jobs = []
+    try:
+        for label, source in sources:
+            job = manager.submit(source, label=label)
+            deadline = time.time() + 60.0
+            while not job.terminal:
+                assert time.time() < deadline, "job did not finish"
+                time.sleep(0.02)
+            jobs.append(job)
+    finally:
+        manager.stop(wait=True)
+    return jobs, ledger.records()
+
+
+class TestPerRunCacheCounters:
+    """A served job's ledger record and report count the job's own
+    cache lookups, never the shared cache's running totals."""
+
+    @staticmethod
+    def _cache_line(job):
+        return [
+            line for line in job.artifacts["report"].splitlines()
+            if "pipeline cache" in line
+        ]
+
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_second_job_reads_like_a_solo_run(self, tmp_path, backend):
+        first, second = (
+            (f"{name}.vhd", ALL_APPLICATIONS[name].VASS_SOURCE)
+            for name in ("power_meter", "receiver")
+        )
+        jobs, records = _serve_in_turn(
+            tmp_path / "shared", backend, [first, second]
+        )
+        solo_jobs, solo_records = _serve_in_turn(
+            tmp_path / "solo", backend, [second]
+        )
+        assert [job.status for job in jobs + solo_jobs] == ["ok"] * 3
+        assert records[1].cache == solo_records[0].cache
+        assert records[1].cache["misses"] > 0
+        assert self._cache_line(jobs[1]) == self._cache_line(solo_jobs[0])
+        assert self._cache_line(jobs[1])
 
 
 class TestJobEventLog:

@@ -24,7 +24,7 @@ from repro.instrument import (
     telemetry,
 )
 from repro.instrument.metrics import MetricsRegistry
-from repro.pipeline import ParallelOptions, run_parallel
+from repro.pipeline import ParallelOptions, Task, ThreadExecutor
 from repro.robust.batch import find_sources, run_batch
 
 EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
@@ -64,6 +64,14 @@ class TestBusUnderThreads:
     WORKERS = 8
     PER_WORKER = 200
 
+    def _run_workers(self, worker):
+        """``worker(wid)`` on every thread of one pool at once."""
+        with ThreadExecutor(self.WORKERS) as pool:
+            wids = pool.map_ordered(
+                [Task(worker, (w,)) for w in range(self.WORKERS)]
+            )
+        assert wids == list(range(self.WORKERS))
+
     def test_no_lost_or_duplicate_events_single_run(self):
         """All workers publish under one run id: the sequence must be
         dense (0..N-1), and every payload must arrive exactly once."""
@@ -73,19 +81,13 @@ class TestBusUnderThreads:
         barrier = threading.Barrier(self.WORKERS, timeout=10.0)
 
         def worker(wid):
-            def run():
-                with run_scope("shared-run"):
-                    barrier.wait()
-                    for n in range(self.PER_WORKER):
-                        bus.publish(
-                            CATEGORY_METRIC, {"worker": wid, "n": n}
-                        )
-                return wid
-            return run
+            with run_scope("shared-run"):
+                barrier.wait()
+                for n in range(self.PER_WORKER):
+                    bus.publish(CATEGORY_METRIC, {"worker": wid, "n": n})
+            return wid
 
-        run_parallel(
-            [worker(w) for w in range(self.WORKERS)], jobs=self.WORKERS
-        )
+        self._run_workers(worker)
         events = ring.events()
         total = self.WORKERS * self.PER_WORKER
         assert len(events) == total
@@ -107,16 +109,12 @@ class TestBusUnderThreads:
         bus.subscribe(ring)
 
         def worker(wid):
-            def run():
-                with run_scope(f"run-{wid}"):
-                    for n in range(self.PER_WORKER):
-                        bus.publish(CATEGORY_METRIC, {"n": n})
-                return wid
-            return run
+            with run_scope(f"run-{wid}"):
+                for n in range(self.PER_WORKER):
+                    bus.publish(CATEGORY_METRIC, {"n": n})
+            return wid
 
-        run_parallel(
-            [worker(w) for w in range(self.WORKERS)], jobs=self.WORKERS
-        )
+        self._run_workers(worker)
         by_run = {}
         for event in ring.events():
             by_run.setdefault(event.run_id, []).append(event.seq)
@@ -136,18 +134,13 @@ class TestBusUnderThreads:
             bus.subscribe(ring)
 
             def worker(wid):
-                def run():
-                    with run_scope("metrics-run"):
-                        for _ in range(self.PER_WORKER):
-                            registry.inc("hammer.count")
-                            registry.observe("hammer.value_s", 0.5)
-                    return wid
-                return run
+                with run_scope("metrics-run"):
+                    for _ in range(self.PER_WORKER):
+                        registry.inc("hammer.count")
+                        registry.observe("hammer.value_s", 0.5)
+                return wid
 
-            run_parallel(
-                [worker(w) for w in range(self.WORKERS)],
-                jobs=self.WORKERS,
-            )
+            self._run_workers(worker)
         total = self.WORKERS * self.PER_WORKER
         snapshot = registry.snapshot()
         assert snapshot["counters"]["hammer.count"] == total
