@@ -15,17 +15,16 @@ growing size:
 The kernel-scaling series below extend the same idea to the refactored
 hot kernels, on synthetic workloads 10–100× the Table-1 size:
 
-* AC sweeps over RC ladders, timing the dense per-point loop against
-  the batched (stacked-LU) and sparse backends;
+* AC sweeps over RC ladders, timing the one stacked LU of the
+  production sweep against the per-point oracle loop;
 * branch-and-bound over large ladder SFGs, timing the incremental
-  ``CandidateIndex`` against the re-enumerating legacy path at an
+  ``CandidateIndex`` against the re-enumerating oracle mapper at an
   identical node budget.
 
-Wall-clock ratios are machine-dependent, so they live inside the
-``rows`` payload (bench-check does not gate list entries); the
-deterministic search/solve counters land in the metrics snapshot and
-*are* gated.  Sparse-backend legs run with the metrics registry
-disabled so CI legs with and without scipy produce identical dumps.
+The oracles live in ``tests/oracles.py``.  Wall-clock ratios are
+machine-dependent, so they live inside the ``rows`` payload
+(bench-check does not gate list entries); the deterministic
+search/solve counters land in the metrics snapshot and *are* gated.
 """
 
 import random
@@ -36,12 +35,17 @@ import pytest
 from repro.instrument import metrics
 from repro.spice import dc
 from repro.spice.ac import ac_sweep
-from repro.spice.linalg import HAVE_SCIPY
 from repro.spice.mna import Circuit
-from repro.synth import MapperOptions, map_sfg, map_sfg_greedy
+from repro.synth import (
+    ArchitectureMapper,
+    MapperOptions,
+    map_sfg,
+    map_sfg_greedy,
+)
 from repro.vhif.sfg import BlockKind, SignalFlowGraph
 
 from conftest import banner
+from tests.oracles import ReenumeratingMapper, oracle_ac_sweep
 
 
 def ladder_sfg(n_stages: int, seed: int = 7) -> SignalFlowGraph:
@@ -135,9 +139,9 @@ def test_scaling_series(benchmark, bench_metrics):
     )
 
 
-# -- kernel scaling: AC backends ---------------------------------------------
+# -- kernel scaling: stacked AC sweep ----------------------------------------
 
-#: RC-ladder sections. The batched win is the amortized python loop
+#: RC-ladder sections. The stacked-LU win is the amortized python loop
 #: overhead, so it is largest on Table-1-sized circuits (a handful of
 #: unknowns) and shrinks as per-point LAPACK cost takes over; the
 #: series spans both regimes.
@@ -145,7 +149,7 @@ AC_SIZES = [3, 6, 12]
 #: dense log grid: 5 decades x 200 points/decade + endpoint —
 #: ~50x the default vase-ac grid, amortizing the one stacked LU
 AC_POINTS_PER_DECADE = 200
-#: timing repeats per backend (best-of to shed scheduler noise)
+#: timing repeats per sweep (best-of to shed scheduler noise)
 AC_REPEATS = 3
 
 
@@ -159,14 +163,14 @@ def rc_ladder_circuit(n_sections: int) -> Circuit:
     return circuit
 
 
-def _time_ac_sweep(circuit: Circuit, probe: str, backend: str) -> float:
+def _time_ac_sweep(circuit: Circuit, probe: str, sweep) -> float:
     best = float("inf")
     for _ in range(AC_REPEATS):
         start = time.perf_counter()
-        ac_sweep(
+        sweep(
             circuit, 10.0, 1e6,
             points_per_decade=AC_POINTS_PER_DECADE,
-            probes=[probe], linalg=backend,
+            probes=[probe],
         )
         best = min(best, time.perf_counter() - start)
     return best
@@ -177,60 +181,43 @@ def run_ac_backend_series():
     for sections in AC_SIZES:
         circuit = rc_ladder_circuit(sections)
         probe = f"n{sections}"
-        dense_s = _time_ac_sweep(circuit, probe, "dense")
-        batched_s = _time_ac_sweep(circuit, probe, "batched")
-        row = {
-            "sections": sections,
-            "unknowns": sections + 2,
-            "points": 5 * AC_POINTS_PER_DECADE + 1,
-            "ac_sweep_dense_s": dense_s,
-            "ac_sweep_batched_s": batched_s,
-            "batched_speedup_x": dense_s / batched_s,
-        }
-        if HAVE_SCIPY:
-            # Keep the metrics dump identical on the no-scipy CI leg:
-            # sparse counters must not reach the gated snapshot.
-            registry = metrics()
-            registry.disable()
-            try:
-                row["ac_sweep_sparse_s"] = _time_ac_sweep(
-                    circuit, probe, "sparse"
-                )
-            finally:
-                registry.enable()
-        rows.append(row)
+        oracle_s = _time_ac_sweep(circuit, probe, oracle_ac_sweep)
+        stacked_s = _time_ac_sweep(circuit, probe, ac_sweep)
+        rows.append(
+            {
+                "sections": sections,
+                "unknowns": sections + 2,
+                "points": 5 * AC_POINTS_PER_DECADE + 1,
+                "ac_sweep_oracle_s": oracle_s,
+                "ac_sweep_stacked_s": stacked_s,
+                "stacked_speedup_x": oracle_s / stacked_s,
+            }
+        )
     return rows
 
 
 def test_ac_backend_scaling(benchmark, bench_metrics):
     rows = benchmark.pedantic(run_ac_backend_series, rounds=1, iterations=1)
     bench_metrics["rows"] = rows
-    banner(
-        "Kernel scaling: AC sweep backends (dense loop vs batched LU"
-        + (" vs sparse)" if HAVE_SCIPY else "; sparse unavailable)")
-    )
+    banner("Kernel scaling: AC sweep (per-point oracle loop vs stacked LU)")
     header = (
         f"{'sections':>8} {'unknowns':>8} {'points':>6} "
-        f"{'dense [ms]':>10} {'batched [ms]':>12} {'speedup':>8}"
-        + (f" {'sparse [ms]':>11}" if HAVE_SCIPY else "")
+        f"{'oracle [ms]':>11} {'stacked [ms]':>12} {'speedup':>8}"
     )
     print(header)
     print("-" * len(header))
     for row in rows:
-        line = (
+        print(
             f"{row['sections']:>8} {row['unknowns']:>8} "
             f"{row['points']:>6} "
-            f"{row['ac_sweep_dense_s'] * 1e3:>10.2f} "
-            f"{row['ac_sweep_batched_s'] * 1e3:>12.2f} "
-            f"{row['batched_speedup_x']:>7.1f}x"
+            f"{row['ac_sweep_oracle_s'] * 1e3:>11.2f} "
+            f"{row['ac_sweep_stacked_s'] * 1e3:>12.2f} "
+            f"{row['stacked_speedup_x']:>7.1f}x"
         )
-        if HAVE_SCIPY:
-            line += f" {row['ac_sweep_sparse_s'] * 1e3:>11.2f}"
-        print(line)
-    # The refactor's headline claim: one stacked LU beats the Python
-    # per-point loop by >= 3x on grids where loop overhead dominates.
-    assert max(row["batched_speedup_x"] for row in rows) >= 3.0
-    assert all(row["batched_speedup_x"] > 1.0 for row in rows)
+    # One stacked LU beats the Python per-point loop by >= 3x on grids
+    # where loop overhead dominates.
+    assert max(row["stacked_speedup_x"] for row in rows) >= 3.0
+    assert all(row["stacked_speedup_x"] > 1.0 for row in rows)
 
 
 # -- kernel scaling: mapper candidate index ----------------------------------
@@ -242,15 +229,13 @@ INDEX_MAX_NODES = 4000
 INDEX_REPEATS = 3
 
 
-def _time_mapping(g: SignalFlowGraph, use_index: bool):
+def _time_mapping(g: SignalFlowGraph, mapper_class):
     options = MapperOptions(
-        enable_transforms=False,
-        candidate_index=use_index,
-        max_nodes=INDEX_MAX_NODES,
+        enable_transforms=False, max_nodes=INDEX_MAX_NODES
     )
     best = None
     for _ in range(INDEX_REPEATS):
-        result = map_sfg(g, options=options)
+        result = mapper_class(g, options=options).run()
         if best is None or (
             result.statistics.runtime_s < best.statistics.runtime_s
         ):
@@ -265,14 +250,14 @@ def run_mapper_index_series():
         g = ladder_sfg(stages)
         hits_before = registry.counter("mapper.index.hits")
         misses_before = registry.counter("mapper.index.misses")
-        indexed = _time_mapping(g, use_index=True)
+        indexed = _time_mapping(g, ArchitectureMapper)
         hits = registry.counter("mapper.index.hits") - hits_before
         misses = registry.counter("mapper.index.misses") - misses_before
-        legacy = _time_mapping(g, use_index=False)
-        assert indexed.estimate.area == legacy.estimate.area
+        oracle = _time_mapping(g, ReenumeratingMapper)
+        assert indexed.estimate.area == oracle.estimate.area
         assert (
             indexed.statistics.nodes_visited
-            == legacy.statistics.nodes_visited
+            == oracle.statistics.nodes_visited
         )
         rows.append(
             {
@@ -280,9 +265,9 @@ def run_mapper_index_series():
                 "blocks": len(g.processing_blocks()),
                 "nodes_visited": indexed.statistics.nodes_visited,
                 "mapper_indexed_s": indexed.statistics.runtime_s,
-                "mapper_legacy_s": legacy.statistics.runtime_s,
+                "mapper_oracle_s": oracle.statistics.runtime_s,
                 "index_speedup_x": (
-                    legacy.statistics.runtime_s
+                    oracle.statistics.runtime_s
                     / indexed.statistics.runtime_s
                 ),
                 "index_hits": hits,
@@ -305,7 +290,7 @@ def test_mapper_index_scaling(benchmark, bench_metrics):
     )
     header = (
         f"{'stages':>6} {'blocks':>6} {'nodes':>6} "
-        f"{'legacy [ms]':>11} {'indexed [ms]':>12} {'speedup':>8} "
+        f"{'oracle [ms]':>11} {'indexed [ms]':>12} {'speedup':>8} "
         f"{'hit rate':>8}"
     )
     print(header)
@@ -314,7 +299,7 @@ def test_mapper_index_scaling(benchmark, bench_metrics):
         print(
             f"{row['stages']:>6} {row['blocks']:>6} "
             f"{row['nodes_visited']:>6} "
-            f"{row['mapper_legacy_s'] * 1e3:>11.2f} "
+            f"{row['mapper_oracle_s'] * 1e3:>11.2f} "
             f"{row['mapper_indexed_s'] * 1e3:>12.2f} "
             f"{row['index_speedup_x']:>7.1f}x "
             f"{row['index_hit_rate']:>8.3f}"

@@ -86,19 +86,6 @@ def _add_executor_args(parser, what: str) -> None:
     )
 
 
-def _add_linalg_arg(parser) -> None:
-    """The shared ``--linalg`` backend knob."""
-    from repro.spice.linalg import BACKENDS
-
-    parser.add_argument(
-        "--linalg", choices=BACKENDS, default="auto",
-        help="linear-solver backend for SPICE-level analyses: auto, "
-        "dense (reference), batched (vectorized AC grids), or sparse "
-        "(scipy splu; falls back to dense without scipy).  Results "
-        "are identical across backends",
-    )
-
-
 def _resolve_parallel(args: argparse.Namespace):
     """A :class:`~repro.pipeline.ParallelOptions` from the CLI pair.
 
@@ -182,7 +169,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
             telemetry=bus,
             ledger=resolve_ledger(args.ledger, args.no_ledger),
             deadline_s=args.budget,
-            linalg=args.linalg,
         )
         result = synthesize(
             source,
@@ -352,14 +338,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_ac(args: argparse.Namespace) -> int:
-    from repro.flow import FlowOptions, synthesize
+    from repro.flow import synthesize
     from repro.spice import ac_sweep, dc, elaborate
 
     source = _load_source(args.file)
     result = synthesize(
         source,
         entity_name=args.entity,
-        options=FlowOptions(linalg=args.linalg),
         source_filename=_source_filename(args.file),
     )
     in_ports = [
@@ -387,7 +372,6 @@ def _cmd_ac(args: argparse.Namespace) -> int:
         points_per_decade=args.points,
         probes=[out],
         ac_source=f"VIN_{in_ports[0]}",
-        linalg=args.linalg,
     )
     print(f"* AC response {in_ports[0]} -> {out_ports[0]}")
     print(f"{'f [Hz]':>12}  {'mag [dB]':>9}  {'phase [deg]':>11}")
@@ -457,9 +441,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     if not files:
         print(f"error: no VASS sources under {root}", file=sys.stderr)
         return 1
-    options = FlowOptions(
-        recovery=not args.no_recovery, linalg=args.linalg
-    )
+    options = FlowOptions(recovery=not args.no_recovery)
     cache = (
         ArtifactCache(disk_dir=args.cache)
         if args.cache is not None
@@ -828,7 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-ledger", action="store_true",
         help="do not record this run in the ledger",
     )
-    _add_linalg_arg(p_synth)
     p_synth.set_defaults(func=_cmd_synth)
 
     p_profile = sub.add_parser(
@@ -911,7 +892,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ac.add_argument("--f-start", type=float, default=10.0)
     p_ac.add_argument("--f-stop", type=float, default=1e5)
     p_ac.add_argument("--points", type=int, default=5)
-    _add_linalg_arg(p_ac)
     p_ac.set_defaults(func=_cmd_ac)
 
     p_report = sub.add_parser(
@@ -994,7 +974,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-ledger", action="store_true",
         help="do not record this run in the ledger",
     )
-    _add_linalg_arg(p_batch)
     p_batch.set_defaults(func=_cmd_batch)
 
     p_metrics = sub.add_parser(

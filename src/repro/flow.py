@@ -81,7 +81,6 @@ from repro.robust.recovery import (
     RecoveryOptions,
     relax_constraints,
 )
-from repro.spice.linalg import use_backend
 from repro.synth import (
     InterfacingOptions,
     MapperOptions,
@@ -169,14 +168,6 @@ class FlowOptions:
     #: knob like ``parallel``: deliberately excluded from every content
     #: fingerprint (stage cache keys, ledger options digests).
     deadline_s: Optional[float] = None
-    #: linear-solver backend preference for every SPICE-level solve of
-    #: this run (``auto`` / ``dense`` / ``batched`` / ``sparse``, see
-    #: :mod:`repro.spice.linalg`).  Installed as the thread-local
-    #: backend default for the run's duration.  Results are
-    #: backend-identical by construction, so — like ``parallel`` and
-    #: ``deadline_s`` — the knob is deliberately excluded from every
-    #: content fingerprint (stage cache keys, ledger options digests).
-    linalg: str = "auto"
 
 
 @dataclass
@@ -466,9 +457,6 @@ def synthesize(
             tracer = stack.enter_context(tracing())
         if options.explog and explog is None:
             explog = stack.enter_context(explogging())
-        # Linear-solver preference for every SPICE-level solve of this
-        # run; thread-local, so concurrent served jobs don't race.
-        stack.enter_context(use_backend(options.linalg))
         run_id = current_run_id()
         if run_id is None:
             run_id = new_run_id()

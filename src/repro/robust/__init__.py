@@ -28,9 +28,8 @@ exception.  This package makes the flow degrade gracefully and report
 from repro._imports import deferred_exports
 
 # Resolved on first use: ``spice.linalg`` imports ``faultinject`` and
-# ``guards`` on every CLI start, which must not pull in batch and
-# recovery (and with them the pipeline and the estimator).  See
-# DESIGN.md, "Import layering".
+# ``guards``, which must not pull in batch and recovery (and with them
+# the pipeline and the estimator).  See DESIGN.md, "Import layering".
 __getattr__, __dir__ = deferred_exports(
     globals(),
     {

@@ -103,8 +103,8 @@ def zero_first_unknown(matrix: np.ndarray) -> np.ndarray:
     Zeroing the first row and column makes the system exactly singular,
     driving the real singular-matrix error path from tests.  Works on a
     single ``(n, n)`` system and on a stacked ``(m, n, n)`` grid alike,
-    so the batched AC backend fails through the same code path as the
-    per-point loop.
+    so the stacked AC sweep fails through the same code path as a
+    single solve.
     """
     faulted = matrix.copy()
     if faulted.shape[-1]:

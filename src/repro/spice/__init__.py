@@ -2,25 +2,14 @@
 
 from repro._imports import deferred_exports
 
-# Resolved on first use: the CLI's argument parser reads
-# ``linalg.BACKENDS`` for every command, which must not pull in the
+# Resolved on first use: importing the package must not pull in the
 # netlister (and with it the mapper), and AC analysis and waveform
 # measurement load numpy.  See DESIGN.md, "Import layering".
 __getattr__, __dir__ = deferred_exports(
     globals(),
     {
-        "BACKENDS": "repro.spice.linalg",
-        "HAVE_SCIPY": "repro.spice.linalg",
         "AnalysisGuard": "repro.spice.linalg",
-        "BatchedSolver": "repro.spice.linalg",
-        "DenseSolver": "repro.spice.linalg",
-        "LinearSolver": "repro.spice.linalg",
-        "SparseSolver": "repro.spice.linalg",
-        "default_backend": "repro.spice.linalg",
         "guarded_solve": "repro.spice.linalg",
-        "resolve_backend": "repro.spice.linalg",
-        "set_default_backend": "repro.spice.linalg",
-        "use_backend": "repro.spice.linalg",
         "OpAmpMacro": "repro.spice.macromodel",
         "add_limiter_stage": "repro.spice.macromodel",
         "add_opamp": "repro.spice.macromodel",
@@ -47,13 +36,7 @@ __all__ = [
     "AcResult",
     "AcSolver",
     "AnalysisGuard",
-    "BACKENDS",
-    "BatchedSolver",
     "Circuit",
-    "DenseSolver",
-    "HAVE_SCIPY",
-    "LinearSolver",
-    "SparseSolver",
     "ElaboratedCircuit",
     "MnaSolver",
     "OpAmpMacro",
@@ -62,17 +45,13 @@ __all__ = [
     "add_limiter_stage",
     "add_opamp",
     "dc",
-    "default_backend",
     "elaborate",
     "guarded_solve",
     "infer_control_links",
     "pulse_wave",
     "pwl_wave",
-    "resolve_backend",
-    "set_default_backend",
     "simulate_transient",
     "sin_wave",
     "to_spice_deck",
-    "use_backend",
     "waveform",
 ]

@@ -25,14 +25,7 @@ import numpy as np
 from repro.diagnostics import SimulationError
 from repro.instrument import metrics, trace_phase
 from repro.robust.guards import check_finite
-from repro.spice.linalg import (
-    AnalysisGuard,
-    BatchedSolver,
-    DenseSolver,
-    LinearSolver,
-    guarded_solve,
-    resolve_backend,
-)
+from repro.spice.linalg import AnalysisGuard
 from repro.spice.mna import (
     Capacitor,
     Circuit,
@@ -94,20 +87,11 @@ class AcResult:
 class AcSolver:
     """Linearized frequency-domain solver over one :class:`Circuit`."""
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        ac_source: Optional[str] = None,
-        linalg: Optional[str] = None,
-    ):
+    def __init__(self, circuit: Circuit, ac_source: Optional[str] = None):
         """``ac_source`` names the voltage source carrying the 1 V AC
-        stimulus; by default the first voltage source is used.
-        ``linalg`` picks the solver backend (``auto``/``dense``/
-        ``batched``/``sparse``); ``None`` defers to the process
-        default."""
+        stimulus; by default the first voltage source is used."""
         self.circuit = circuit
-        self._linalg = linalg
-        self._mna = MnaSolver(circuit, linalg=linalg)
+        self._mna = MnaSolver(circuit)
         self._size = self._mna._size
         self._operating_point = None
         sources = [
@@ -147,8 +131,8 @@ class AcSolver:
 
         Every stamp except the capacitor's is frequency-independent, so
         the system factors as ``A(ω) = G + jω·C`` with one shared
-        right-hand side ``b`` — assembled once per sweep, for every
-        backend, instead of once per frequency point.
+        right-hand side ``b`` — assembled once per sweep instead of once
+        per frequency point.
         """
         size = self._size
         G = np.zeros((size, size))
@@ -248,54 +232,41 @@ class AcSolver:
                 )
         return G, C, b
 
-    def _assemble(self, omega: float, bias: np.ndarray) -> tuple:
-        """One frequency point's complex system (compatibility path)."""
-        G, C, b = self._assemble_parts(bias)
-        return G + (1j * omega) * C, b.copy()
-
     # -- sweep ------------------------------------------------------------------
 
     def _solve_grid(
         self,
-        backend: LinearSolver,
         guard: AnalysisGuard,
         frequencies: np.ndarray,
-        G: np.ndarray,
-        C: np.ndarray,
+        A_stack: np.ndarray,
         b: np.ndarray,
     ) -> np.ndarray:
         """All frequency points' solutions, ``(n_points, n)``.
 
-        The batched backend factorizes the whole ``(m, n, n)`` stack in
-        one call; when that stack contains a singular point the gufunc
-        cannot name the offending frequency, so the sweep falls back to
-        the dense per-point loop — which reproduces the located error
-        (and per-point counters) exactly.
+        The whole ``(m, n, n)`` stack is factorized in one LAPACK call.
+        When a point is singular the stacked call cannot say which, so
+        the first point whose LU has a zero pivot (``slogdet`` sign 0)
+        is located and named in the error — the same message a solve
+        of that point alone would raise.
         """
         registry = metrics()
-        omegas = 2.0 * math.pi * frequencies
-        if isinstance(backend, BatchedSolver):
-            A_stack = (
-                G[np.newaxis, :, :]
-                + (1j * omegas)[:, np.newaxis, np.newaxis]
-                * C[np.newaxis, :, :]
+        A_stack = guard.inject_fault(A_stack)
+        # The shared RHS is broadcast to a stack of (n, 1) column
+        # matrices: unambiguous under both numpy RHS-interpretation
+        # rules (a 2-D b would be read as one matrix, not a stack).
+        rhs = np.broadcast_to(
+            b[:, np.newaxis], (A_stack.shape[0], b.shape[-1], 1)
+        )
+        try:
+            solutions = np.linalg.solve(A_stack, rhs)[..., 0]
+        except np.linalg.LinAlgError as err:
+            registry.inc("spice.mna.factorization_failures")
+            k = np.flatnonzero(np.linalg.slogdet(A_stack)[0] == 0)[0]
+            raise guard.singular_error(
+                A_stack[k], err, where=f" at {frequencies[k]} Hz"
             )
-            A_stack = guard.inject_fault(A_stack)
-            try:
-                solutions = backend.solve_grid(A_stack, b)
-            except np.linalg.LinAlgError:
-                registry.inc("spice.linalg.batched_fallbacks")
-                backend = DenseSolver()
-            else:
-                registry.inc("spice.mna.factorizations", len(frequencies))
-                guard.check_condition(A_stack[0])
-                return solutions
-        solutions = np.empty((len(frequencies), self._size), dtype=complex)
-        for i, f in enumerate(frequencies):
-            A = G + (1j * omegas[i]) * C
-            solutions[i] = guarded_solve(
-                backend, A, b, guard, where=f" at {f} Hz"
-            )
+        registry.inc("spice.mna.factorizations", len(frequencies))
+        guard.check_condition(A_stack[0])
         return solutions
 
     def sweep(
@@ -319,14 +290,16 @@ class AcSolver:
         )
         bias = self._bias()
         G, C, b = self._assemble_parts(bias)
-        backend = resolve_backend(
-            self._linalg, size=self._size, grid=n_points
-        )
         with trace_phase("spice.ac_sweep", points=n_points):
+            omegas = 2.0 * math.pi * frequencies
+            A_stack = (
+                G[np.newaxis, :, :]
+                + (1j * omegas)[:, np.newaxis, np.newaxis]
+                * C[np.newaxis, :, :]
+            )
             registry = metrics()
             registry.inc("spice.ac.sweeps")
             registry.inc("spice.ac.points", n_points)
-            registry.inc(f"spice.linalg.backend.{backend.name}")
             guard = AnalysisGuard(
                 system="AC",
                 title=self.circuit.title,
@@ -334,9 +307,7 @@ class AcSolver:
                 fault_site="spice.ac.singular",
                 condition_text="the response may be numerically meaningless",
             )
-            solutions = self._solve_grid(
-                backend, guard, frequencies, G, C, b
-            )
+            solutions = self._solve_grid(guard, frequencies, A_stack, b)
             for i, f in enumerate(frequencies):
                 bad = check_finite(solutions[i], self._mna.unknown_labels)
                 if bad is not None:
@@ -360,9 +331,8 @@ def ac_sweep(
     points_per_decade: int = 20,
     probes: Optional[Sequence[str]] = None,
     ac_source: Optional[str] = None,
-    linalg: Optional[str] = None,
 ) -> AcResult:
     """One-call AC analysis."""
-    return AcSolver(circuit, ac_source=ac_source, linalg=linalg).sweep(
+    return AcSolver(circuit, ac_source=ac_source).sweep(
         f_start, f_stop, points_per_decade=points_per_decade, probes=probes
     )

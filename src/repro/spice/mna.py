@@ -35,15 +35,9 @@ from typing import (
 )
 
 from repro.diagnostics import SimulationError
-from repro.instrument import metrics
 from repro.robust.faultinject import fault_active
 from repro.robust.guards import check_finite
-from repro.spice.linalg import (
-    AnalysisGuard,
-    LinearSolver,
-    guarded_solve,
-    resolve_backend,
-)
+from repro.spice.linalg import AnalysisGuard, guarded_solve
 
 if TYPE_CHECKING:
     import numpy as np
@@ -387,15 +381,9 @@ class TransientResult:
 class MnaSolver:
     """Assembles and solves the MNA system of a :class:`Circuit`."""
 
-    def __init__(
-        self,
-        circuit: Circuit,
-        gmin: float = 1e-12,
-        linalg: Optional[str] = None,
-    ):
+    def __init__(self, circuit: Circuit, gmin: float = 1e-12):
         self.circuit = circuit
         self.gmin = gmin
-        self._linalg = linalg
         self._n = circuit.n_nodes()
         # Assign branch currents to every voltage-defining element.
         self._branches = 0
@@ -424,7 +412,6 @@ class MnaSolver:
             fault_site="spice.singular",
             condition_text="voltages may be numerically meaningless",
         )
-        self._backend: Optional[LinearSolver] = None
 
     # -- helpers -----------------------------------------------------------------
 
@@ -446,14 +433,6 @@ class MnaSolver:
     def _voltage(self, x: np.ndarray, node: str) -> float:
         index = self._index(node)
         return 0.0 if index < 0 else float(x[index])
-
-    def _solver_backend(self) -> LinearSolver:
-        """The linear-solver backend of this analysis (resolved lazily
-        so a changed process default applies to freshly built solvers)."""
-        if self._backend is None:
-            self._backend = resolve_backend(self._linalg, size=self._size)
-            metrics().inc(f"spice.linalg.backend.{self._backend.name}")
-        return self._backend
 
     def _check_solution_finite(
         self, x: np.ndarray, t: Optional[float] = None
@@ -634,7 +613,6 @@ class MnaSolver:
         if not x.size:
             return x
         residual = self._residual_norm(x, t, dt, prev, switch_controls)
-        backend = self._solver_backend()
         for _ in range(max_iter):
             A, b = self._assemble(x, t, dt, prev, switch_controls)
             # The guard boundary owns fault injection, the singular
@@ -642,7 +620,7 @@ class MnaSolver:
             # factorization counters, and the once-per-analysis
             # condition estimate.
             x_new = guarded_solve(
-                backend, A, b, self._guard, where=f" at t={t:g} s"
+                A, b, self._guard, where=f" at t={t:g} s"
             )
             step = x_new - x
             delta = float(np.max(np.abs(step)))
@@ -741,9 +719,6 @@ def simulate_transient(
     t_end: float,
     dt: float,
     probes: Optional[Sequence[str]] = None,
-    linalg: Optional[str] = None,
 ) -> TransientResult:
     """One-call transient analysis."""
-    return MnaSolver(circuit, linalg=linalg).transient(
-        t_end, dt, probes=probes
-    )
+    return MnaSolver(circuit).transient(t_end, dt, probes=probes)

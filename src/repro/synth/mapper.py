@@ -65,12 +65,6 @@ class MapperOptions:
     #: try the sharing branch before allocating new hardware
     share_first: bool = True
     max_cone_size: int = 4
-    #: enumerate candidates once per root through an incremental
-    #: :class:`~repro.library.patterns.CandidateIndex` instead of
-    #: re-running the pattern matcher at every decision node; the
-    #: decision sequence is identical either way (the legacy path is
-    #: kept for the differential test and as an escape hatch)
-    candidate_index: bool = True
     #: safety cap on visited decision nodes
     max_nodes: int = 500_000
     #: wall-clock deadline for the search, seconds (None = unbounded);
@@ -224,23 +218,19 @@ class ArchitectureMapper:
         self._best_estimate: Optional[PerformanceEstimate] = None
         self._stats = MappingStatistics()
         self._area_cache: Dict[Tuple[str, str], float] = {}
-        # The incremental candidate index (and the memos it makes
-        # sound): index entries are long-lived, so per-match areas can
-        # be memoized by object identity, and per-root minimum areas
-        # feed the tightened lower bound.
-        self._index: Optional[CandidateIndex] = None
-        self._area_by_match: Optional[Dict[int, float]] = None
+        # The incremental candidate index enumerates each root once
+        # (and makes its memos sound): index entries are long-lived, so
+        # per-match areas can be memoized by object identity, and
+        # per-root minimum areas feed the tightened lower bound.
+        self._index = CandidateIndex(
+            self.matcher,
+            self.sfg,
+            max_cone_size=self.options.max_cone_size,
+            include_transforms=self.options.enable_transforms,
+            sort_key=_SEQUENCING_KEYS.get(self.options.sequencing),
+        )
+        self._area_by_match: Dict[int, float] = {}
         self._min_area_memo: Dict[int, Optional[float]] = {}
-        if self.options.candidate_index:
-            sort_key = _SEQUENCING_KEYS.get(self.options.sequencing)
-            self._index = CandidateIndex(
-                self.matcher,
-                self.sfg,
-                max_cone_size=self.options.max_cone_size,
-                include_transforms=self.options.enable_transforms,
-                sort_key=sort_key,
-            )
-            self._area_by_match = {}
         self._tree: List[DecisionNode] = []
         self._solutions: List[int] = []
         self._abort = False
@@ -320,51 +310,32 @@ class ArchitectureMapper:
     # -- candidate ordering -------------------------------------------------------------
 
     def _ordered_candidates(self, root: Block) -> List[PatternMatch]:
-        if self._index is not None:
-            return self._index.candidates(root)
-        # Legacy path: full re-enumeration at every decision node.
-        candidates = self.matcher.candidates(
-            self.sfg, root, max_size=self.options.max_cone_size
-        )
-        if not self.options.enable_transforms:
-            candidates = [c for c in candidates if c.transform is None]
-        # Cones may not include already-covered blocks.
-        candidates = [
-            c for c in candidates if not (c.cone & self._covered)
-        ]
-        sort_key = _SEQUENCING_KEYS.get(self.options.sequencing)
-        if sort_key is not None:
-            candidates.sort(key=sort_key)
-        # "arbitrary": keep the matcher's order.
-        return candidates
+        return self._index.candidates(root)
 
     # -- covered-set bookkeeping (kept in sync with the index) ------------------
 
     def _cover(self, cone: FrozenSet[int]) -> None:
         self._covered |= cone
-        if self._index is not None:
-            self._index.cover(cone)
+        self._index.cover(cone)
 
     def _uncover(self, cone: FrozenSet[int]) -> None:
         self._covered -= cone
-        if self._index is not None:
-            self._index.uncover(cone)
+        self._index.uncover(cone)
 
     # -- tree bookkeeping ------------------------------------------------------------------
 
     def _instance_area(self, match: PatternMatch) -> float:
         """Estimated area of one candidate instance (cached by key).
 
-        With the candidate index active, matches are long-lived objects
-        enumerated once per root, so the area is additionally memoized
-        by object identity — skipping even the params-repr key build on
-        the hot bound-computation path.
+        Index matches are long-lived objects enumerated once per root,
+        so the area is additionally memoized by object identity —
+        skipping even the params-repr key build on the hot
+        bound-computation path.
         """
         memo = self._area_by_match
-        if memo is not None:
-            by_id = memo.get(id(match))
-            if by_id is not None:
-                return by_id
+        by_id = memo.get(id(match))
+        if by_id is not None:
+            return by_id
         key = (match.component, repr(sorted(match.params.items())))
         cached = self._area_cache.get(key)
         if cached is None:
@@ -375,8 +346,7 @@ class ArchitectureMapper:
             )
             cached = self.estimator.estimate_instance(dummy).area
             self._area_cache[key] = cached
-        if memo is not None:
-            memo[id(match)] = cached
+        memo[id(match)] = cached
         return cached
 
     def _min_alloc_area(self, root: Block) -> Optional[float]:
@@ -604,7 +574,6 @@ class ArchitectureMapper:
             if (
                 self.options.enable_bounding
                 and self.options.bounding_mode != "minarea"
-                and self._index is not None
                 and not self.options.enable_sharing
                 and self._best_estimate is not None
             ):
@@ -774,9 +743,8 @@ class ArchitectureMapper:
             registry.inc(f"mapper.violations.{name}", count)
         if stats.truncated:
             registry.inc("mapper.truncations")
-        if self._index is not None:
-            registry.inc("mapper.index.hits", self._index.hits)
-            registry.inc("mapper.index.misses", self._index.misses)
+        registry.inc("mapper.index.hits", self._index.hits)
+        registry.inc("mapper.index.misses", self._index.misses)
         registry.observe("mapper.runtime_s", stats.runtime_s)
 
     def run(self) -> MappingResult:

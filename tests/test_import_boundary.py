@@ -1,9 +1,10 @@
-"""The import boundary: synthesis never loads numpy or scipy.
+"""The import boundary: synthesis never loads numpy or the SPICE layer.
 
-The flow from VASS to an estimated netlist is symbolic; numpy and scipy
-are imported only when numeric code first runs (MNA/AC solves, the VHIF
-interpreter, verification, Monte Carlo).  Loading them costs ~0.6 s and
-~37 MB per ``vase synth`` process and per spawned executor worker.
+The flow from VASS to an estimated netlist is symbolic; numpy is
+imported only when numeric code first runs (MNA/AC solves, the VHIF
+interpreter, verification, Monte Carlo), and nothing in ``src/repro``
+imports scipy.  Loading the numerics costs ~0.6 s and ~37 MB per
+``vase synth`` process and per spawned executor worker.
 Commands that do not synthesize load neither the numerics nor the
 mapper/estimator stack.  The boundary is enforced here with module-set
 checks in fresh interpreters (deterministic, unlike a timing bound).
@@ -19,14 +20,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.instrument import metrics
-from repro.spice import linalg as linalg_module
-from repro.spice.linalg import DenseSolver, HAVE_SCIPY, resolve_backend
-
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLE = str(ROOT / "examples" / "biquad.vhd")
 NUMERIC = {"numpy", "scipy"}
 FLOW = {"repro.flow", "repro.synth.mapper", "repro.estimation.estimator"}
+SPICE = {"repro.spice"} | {
+    f"repro.spice.{path.stem}"
+    for path in (ROOT / "src" / "repro" / "spice").glob("*.py")
+    if path.stem != "__init__"
+}
 
 
 def loaded(snippet: str, watched=NUMERIC) -> set:
@@ -83,6 +85,26 @@ class TestNumpyFreeSynthesis:
         assert "numpy" in loaded(cli_snippet(["verify", EXAMPLE]))
 
 
+class TestSpiceFreeSynthesis:
+    """The flow reaches no ``repro.spice*`` module: synthesis makes no
+    linear solve, so nothing SPICE-level is on its import path."""
+
+    def test_import_flow_loads_no_spice(self):
+        assert loaded("import repro.flow", SPICE) == set()
+
+    def test_synthesize_bundled_designs_loads_no_spice(self):
+        snippet = (
+            "from repro.apps import ALL_APPLICATIONS, EXTRA_APPLICATIONS\n"
+            "from repro.flow import synthesize\n"
+            "apps = dict(ALL_APPLICATIONS)\n"
+            "apps['biquad_filter'] = EXTRA_APPLICATIONS['biquad_filter']\n"
+            "assert len(apps) == 6\n"
+            "for app in apps.values():\n"
+            "    synthesize(app.VASS_SOURCE)\n"
+        )
+        assert loaded(snippet, SPICE) == set()
+
+
 @pytest.mark.parametrize(
     "argv",
     [["check", EXAMPLE], ["--help"], ["history"], ["stats"]],
@@ -110,35 +132,3 @@ def test_public_names_resolve(package):
     for name in module.__all__:
         assert getattr(module, name) is not None, name
         assert name in listing, name
-
-
-class TestLazyScipy:
-    @pytest.mark.skipif(not HAVE_SCIPY, reason="needs scipy")
-    def test_first_sparse_solve_loads_scipy(self):
-        snippet = (
-            "import sys\n"
-            "from repro.spice.linalg import resolve_backend\n"
-            "assert 'scipy' not in sys.modules\n"
-            "import numpy as np\n"
-            "x = resolve_backend('sparse').solve(np.eye(3), np.ones(3))\n"
-            "assert list(x) == [1.0, 1.0, 1.0]\n"
-        )
-        assert loaded(snippet) == {"numpy", "scipy"}
-
-    def test_failed_scipy_import_degrades_to_dense(self, monkeypatch):
-        # scipy is located but cannot be imported (a ``None`` entry in
-        # sys.modules makes the import raise ImportError).
-        monkeypatch.setattr(linalg_module, "HAVE_SCIPY", True)
-        monkeypatch.setitem(sys.modules, "scipy.sparse.linalg", None)
-        registry = metrics()
-        before = registry.counter("spice.linalg.sparse_unavailable")
-        assert isinstance(
-            resolve_backend("auto", size=linalg_module.SPARSE_THRESHOLD),
-            DenseSolver,
-        )
-        assert isinstance(resolve_backend("sparse"), DenseSolver)
-        assert (
-            registry.counter("spice.linalg.sparse_unavailable")
-            == before + 1
-        )
-        assert linalg_module.HAVE_SCIPY is False

@@ -1,9 +1,9 @@
-"""Tests for the pluggable linear-solver backends (repro.spice.linalg).
+"""Tests for the guarded linear solve (repro.spice.linalg, repro.spice.ac).
 
-The refactor's correctness bar: every backend produces *identical*
-results — same netlists, same AC responses, same error messages on
-singular systems — so the backend knob can stay excluded from every
-content fingerprint.
+Production solves each AC sweep as one stacked LAPACK call; the
+per-point oracle (``tests/oracles.py``) solves the same systems one at
+a time.  The bar: identical responses and identical error messages on
+singular systems, with the factorization counters consistent.
 """
 
 import numpy as np
@@ -11,24 +11,15 @@ import pytest
 
 from repro.apps import ALL_APPLICATIONS
 from repro.diagnostics import SimulationError
-from repro.flow import FlowOptions, synthesize
+from repro.flow import synthesize
 from repro.instrument import metrics
 from repro.robust.faultinject import inject_faults
-from repro.spice import dc, elaborate, to_spice_deck
-from repro.spice import linalg as linalg_module
-from repro.spice.ac import ac_sweep
-from repro.spice.linalg import (
-    BACKENDS,
-    HAVE_SCIPY,
-    BatchedSolver,
-    DenseSolver,
-    SparseSolver,
-    default_backend,
-    resolve_backend,
-    set_default_backend,
-    use_backend,
-)
+from repro.spice import dc, elaborate
+from repro.spice.ac import AcSolver, ac_sweep
+from repro.spice.linalg import AnalysisGuard
 from repro.spice.mna import Circuit, simulate_transient
+
+from tests.oracles import PerPointAcSolver, oracle_ac_sweep
 
 
 def rc_ladder(n_sections=5, r=1e3, c=1e-8):
@@ -50,151 +41,82 @@ def random_systems(m=7, n=6, seed=11):
     return stack, b
 
 
-class TestBackendSelection:
-    def test_backends_tuple(self):
-        assert BACKENDS == ("auto", "dense", "batched", "sparse")
+def grid_guard(n):
+    """A fresh AC guard over ``n`` unknowns."""
+    return AnalysisGuard(
+        system="AC",
+        title="grid",
+        labels=[f"v(x{i})" for i in range(n)],
+        fault_site="spice.ac.singular",
+        condition_text="the response may be numerically meaningless",
+    )
 
-    def test_explicit_names(self):
-        assert isinstance(resolve_backend("dense"), DenseSolver)
-        assert isinstance(resolve_backend("batched"), BatchedSolver)
-        if HAVE_SCIPY:
-            assert isinstance(resolve_backend("sparse"), SparseSolver)
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown linalg backend"):
-            resolve_backend("cholesky")
-
-    def test_auto_picks_dense_for_small_single_solves(self):
-        assert isinstance(resolve_backend("auto", size=8), DenseSolver)
-
-    def test_auto_picks_batched_for_grids(self):
-        assert isinstance(
-            resolve_backend("auto", size=8, grid=100), BatchedSolver
-        )
-
-    @pytest.mark.skipif(not HAVE_SCIPY, reason="needs scipy")
-    def test_auto_picks_sparse_past_threshold(self):
-        backend = resolve_backend(
-            "auto", size=linalg_module.SPARSE_THRESHOLD
-        )
-        assert isinstance(backend, SparseSolver)
-
-    def test_sparse_without_scipy_degrades_to_dense(self, monkeypatch):
-        monkeypatch.setattr(linalg_module, "HAVE_SCIPY", False)
-        registry = metrics()
-        before = registry.counter("spice.linalg.sparse_unavailable")
-        backend = resolve_backend("sparse")
-        assert isinstance(backend, DenseSolver)
-        assert (
-            registry.counter("spice.linalg.sparse_unavailable")
-            == before + 1
-        )
-
-    def test_use_backend_is_scoped(self):
-        assert default_backend() == "auto"
-        with use_backend("dense"):
-            assert default_backend() == "dense"
-            with use_backend("batched"):
-                assert default_backend() == "batched"
-            assert default_backend() == "dense"
-        assert default_backend() == "auto"
-
-    def test_use_backend_none_is_noop(self):
-        with use_backend(None):
-            assert default_backend() == "auto"
-
-    def test_use_backend_validates(self):
-        with pytest.raises(ValueError, match="unknown linalg backend"):
-            with use_backend("qr"):
-                pass  # pragma: no cover
-
-    def test_set_default_backend_returns_previous(self):
-        previous = set_default_backend("dense")
-        try:
-            assert previous == "auto"
-            assert default_backend() == "dense"
-        finally:
-            set_default_backend(previous)
-        assert default_backend() == "auto"
+def solve_grid(solver_class, stack, b, frequencies):
+    """One grid solve through ``solver_class``'s ``_solve_grid``."""
+    solver = solver_class(rc_ladder())
+    return solver._solve_grid(grid_guard(len(b)), frequencies, stack, b)
 
 
 class TestSolverEquivalence:
     def test_batched_matches_dense_loop(self):
         stack, b = random_systems()
-        dense = DenseSolver().solve_grid(stack, b)
-        batched = BatchedSolver().solve_grid(stack, b)
-        assert np.allclose(dense, batched, rtol=1e-12, atol=0.0)
+        frequencies = np.logspace(1, 4, len(stack))
+        stacked = solve_grid(AcSolver, stack, b, frequencies)
+        per_point = solve_grid(PerPointAcSolver, stack, b, frequencies)
+        assert np.allclose(stacked, per_point, rtol=1e-12, atol=0.0)
 
-    @pytest.mark.skipif(not HAVE_SCIPY, reason="needs scipy")
-    def test_sparse_matches_dense(self):
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_singular_middle_point_is_located(self, k):
         stack, b = random_systems()
-        dense = DenseSolver().solve_grid(stack, b)
-        sparse = SparseSolver().solve_grid(stack, b)
-        assert np.allclose(dense, sparse, rtol=1e-12, atol=1e-12)
-
-    def test_batched_raises_linalgerror_on_singular_point(self):
-        stack, b = random_systems()
-        stack[3] = 0.0
-        with pytest.raises(np.linalg.LinAlgError):
-            BatchedSolver().solve_grid(stack, b)
-
-    @pytest.mark.skipif(not HAVE_SCIPY, reason="needs scipy")
-    def test_sparse_normalizes_singular_to_linalgerror(self):
-        singular = np.zeros((3, 3), dtype=complex)
-        with pytest.raises(np.linalg.LinAlgError):
-            SparseSolver().solve(singular, np.ones(3, dtype=complex))
-
-
-class TestAcBackendParity:
-    @pytest.mark.parametrize(
-        "backend",
-        ["batched"] + (["sparse"] if HAVE_SCIPY else []),
-    )
-    def test_ladder_response_matches_dense(self, backend):
-        reference = ac_sweep(
-            rc_ladder(), 10.0, 1e6, points_per_decade=20,
-            probes=["n5"], linalg="dense",
+        stack[k] = 0.0
+        frequencies = np.logspace(1, 4, len(stack))
+        registry = metrics()
+        failures_before = registry.counter(
+            "spice.mna.factorization_failures"
         )
-        other = ac_sweep(
-            rc_ladder(), 10.0, 1e6, points_per_decade=20,
-            probes=["n5"], linalg=backend,
+        with pytest.raises(SimulationError) as stacked:
+            solve_grid(AcSolver, stack, b, frequencies)
+        assert (
+            registry.counter("spice.mna.factorization_failures")
+            == failures_before + 1
         )
-        assert np.array_equal(reference.frequencies, other.frequencies)
+        with pytest.raises(SimulationError) as per_point:
+            solve_grid(PerPointAcSolver, stack, b, frequencies)
+        message = str(stacked.value)
+        assert message == str(per_point.value)
+        assert f"singular AC matrix at {frequencies[k]} Hz" in message
+
+
+class TestAcOracleParity:
+    def test_ladder_response_matches_per_point_oracle(self):
+        reference = oracle_ac_sweep(
+            rc_ladder(), 10.0, 1e6, points_per_decade=20, probes=["n5"]
+        )
+        stacked = ac_sweep(
+            rc_ladder(), 10.0, 1e6, points_per_decade=20, probes=["n5"]
+        )
+        assert np.array_equal(reference.frequencies, stacked.frequencies)
         assert np.allclose(
-            reference.voltages["n5"], other.voltages["n5"],
+            reference.voltages["n5"], stacked.voltages["n5"],
             rtol=1e-12, atol=0.0,
         )
 
-    def test_backend_metric_published(self):
-        registry = metrics()
-        before = registry.counter("spice.linalg.backend.batched")
-        ac_sweep(rc_ladder(), 10.0, 1e4, probes=["n5"], linalg="batched")
-        assert registry.counter("spice.linalg.backend.batched") > before
-
 
 class TestGuardParity:
-    """Errors and fault injection behave identically per backend."""
+    """Errors and fault injection match the per-point oracle."""
 
-    def _singular_message(self, backend):
+    def _singular_message(self, sweep):
         with inject_faults("spice.ac.singular"):
             with pytest.raises(SimulationError) as err:
-                ac_sweep(
-                    rc_ladder(), 10.0, 1e4, probes=["n5"],
-                    linalg=backend,
-                )
+                sweep(rc_ladder(), 10.0, 1e4, probes=["n5"])
         return str(err.value)
 
-    def test_batched_fallback_reproduces_dense_error(self):
-        registry = metrics()
-        before = registry.counter("spice.linalg.batched_fallbacks")
-        dense_message = self._singular_message("dense")
-        batched_message = self._singular_message("batched")
-        assert batched_message == dense_message
-        assert "singular AC matrix at" in batched_message
-        assert (
-            registry.counter("spice.linalg.batched_fallbacks")
-            == before + 1
-        )
+    def test_stacked_error_matches_per_point_oracle(self):
+        oracle_message = self._singular_message(oracle_ac_sweep)
+        stacked_message = self._singular_message(ac_sweep)
+        assert stacked_message == oracle_message
+        assert "singular AC matrix at 10.0 Hz" in stacked_message
 
     def test_mna_singular_fault_names_time(self):
         with inject_faults("spice.singular"):
@@ -203,7 +125,7 @@ class TestGuardParity:
 
 
 class TestFactorizationCounters:
-    """Satellite: successes-only counting plus a failures counter."""
+    """Successes-only counting plus a failures counter."""
 
     def test_success_counts_factorizations_not_failures(self):
         registry = metrics()
@@ -222,12 +144,9 @@ class TestFactorizationCounters:
         with inject_faults("spice.ac.singular"):
             ok_before = registry.counter("spice.mna.factorizations")
             with pytest.raises(SimulationError):
-                ac_sweep(
-                    rc_ladder(), 10.0, 1e4, probes=["n5"],
-                    linalg="dense",
-                )
-            # The DC bias point solves fine; the first AC point fails
-            # and must not land on the success counter.
+                ac_sweep(rc_ladder(), 10.0, 1e4, probes=["n5"])
+            # The DC bias point solves fine; the AC grid fails and
+            # must not land on the success counter.
             ok_after = registry.counter("spice.mna.factorizations")
         assert (
             registry.counter("spice.mna.factorization_failures")
@@ -236,10 +155,7 @@ class TestFactorizationCounters:
         assert ok_after >= ok_before  # successes never decremented
         with inject_faults("spice.ac.singular"):
             with pytest.raises(SimulationError):
-                ac_sweep(
-                    rc_ladder(), 10.0, 1e4, probes=["n5"],
-                    linalg="dense",
-                )
+                ac_sweep(rc_ladder(), 10.0, 1e4, probes=["n5"])
             # Identical failing sweep: the success counter gained only
             # the bias-point factorizations, no AC-point successes.
             gained = (
@@ -256,19 +172,9 @@ def _app_sources():
     "name,app", _app_sources(), ids=[n for n, _ in _app_sources()]
 )
 class TestTable1Differential:
-    """Every Table-1 app: bit-identical netlists, matching AC sweeps."""
+    """Every Table-1 app: the stacked sweep matches the oracle."""
 
-    def test_netlists_bit_identical_across_backends(self, name, app):
-        decks = {}
-        for backend in ("dense", "batched", "sparse"):
-            result = synthesize(
-                app.VASS_SOURCE, options=FlowOptions(linalg=backend)
-            )
-            decks[backend] = to_spice_deck(result.netlist)
-        assert decks["dense"] == decks["batched"]
-        assert decks["dense"] == decks["sparse"]
-
-    def test_ac_responses_allclose_across_backends(self, name, app):
+    def test_ac_matches_oracle(self, name, app):
         result = synthesize(app.VASS_SOURCE)
         in_ports = [
             p for p, info in result.design.ports.items()
@@ -285,20 +191,15 @@ class TestTable1Differential:
             input_waves={p: dc(0.0) for p in in_ports},
         )
         probe = circuit.output_nodes[out_ports[0]]
-        responses = {
-            backend: ac_sweep(
+        responses = [
+            sweep(
                 circuit.circuit, 10.0, 1e5, points_per_decade=10,
                 probes=[probe], ac_source=f"VIN_{in_ports[0]}",
-                linalg=backend,
             )
-            for backend in ("dense", "batched", "sparse")
-        }
-        reference = responses["dense"].voltages[probe]
-        # batched runs the same LAPACK path and matches exactly;
-        # sparse (SuperLU) may differ by a few ulps of rounding.
-        assert np.array_equal(
-            reference, responses["batched"].voltages[probe]
-        ), f"{name}: batched diverged from dense"
+            for sweep in (oracle_ac_sweep, ac_sweep)
+        ]
         assert np.allclose(
-            reference, responses["sparse"].voltages[probe], rtol=1e-12
-        ), f"{name}: sparse diverged from dense"
+            responses[0].voltages[probe],
+            responses[1].voltages[probe],
+            rtol=1e-12,
+        ), f"{name}: stacked sweep diverged from the per-point oracle"

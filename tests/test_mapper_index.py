@@ -3,8 +3,9 @@
 The index is a pure speed refactor: identical candidate ordering,
 identical alloc/share/prune/complete sequence, identical best mapping.
 The exploration log records every decision the search makes, so
-comparing full (timestamp-stripped) event streams between index-on and
-index-off runs proves behavioral equivalence end to end.
+comparing full (timestamp-stripped) event streams between the indexed
+mapper and the re-enumerating oracle (``tests/oracles.py``) proves
+behavioral equivalence end to end.
 """
 
 import os
@@ -15,6 +16,9 @@ from repro.apps import biquad_filter
 from repro.flow import FlowOptions, synthesize
 from repro.instrument import explogging, metrics
 from repro.synth import ArchitectureMapper, MapperOptions
+from repro.synth import mapper as mapper_module
+
+from tests.oracles import ReenumeratingMapper
 
 #: every event type the mapper search emits
 MAPPER_EVENTS = {
@@ -34,6 +38,14 @@ def biquad_source() -> str:
         return handle.read()
 
 
+@pytest.fixture
+def use_oracle(monkeypatch):
+    """Calling it makes every mapper the flow builds the oracle."""
+    return lambda: monkeypatch.setattr(
+        mapper_module, "ArchitectureMapper", ReenumeratingMapper
+    )
+
+
 def mapper_decisions(source: str, **mapper_kwargs):
     """The mapper's decision sequence for one synthesis run."""
     with explogging() as log:
@@ -49,13 +61,10 @@ def mapper_decisions(source: str, **mapper_kwargs):
 
 
 class TestDecisionParity:
-    def test_biquad_explog_sequence_identical(self):
-        indexed, indexed_result = mapper_decisions(
-            biquad_source(), candidate_index=True
-        )
-        legacy, legacy_result = mapper_decisions(
-            biquad_source(), candidate_index=False
-        )
+    def test_biquad_explog_sequence_identical(self, use_oracle):
+        indexed, indexed_result = mapper_decisions(biquad_source())
+        use_oracle()
+        legacy, legacy_result = mapper_decisions(biquad_source())
         assert indexed == legacy
         assert (
             indexed_result.mapping.estimate.area
@@ -69,31 +78,27 @@ class TestDecisionParity:
     @pytest.mark.parametrize(
         "sequencing", ["largest_first", "smallest_first", "arbitrary"]
     )
-    def test_sequencing_modes_identical(self, sequencing):
-        indexed, _ = mapper_decisions(
-            biquad_source(), candidate_index=True, sequencing=sequencing
-        )
-        legacy, _ = mapper_decisions(
-            biquad_source(), candidate_index=False, sequencing=sequencing
-        )
+    def test_sequencing_modes_identical(self, sequencing, use_oracle):
+        indexed, _ = mapper_decisions(biquad_source(), sequencing=sequencing)
+        use_oracle()
+        legacy, _ = mapper_decisions(biquad_source(), sequencing=sequencing)
         assert indexed == legacy
 
 
 class TestMinAreaMemoBound:
     """Sharing off: the memo bound prunes more, never a different best."""
 
-    def _map(self, **kwargs):
+    def _map(self):
         source = biquad_filter.VASS_SOURCE
         return synthesize(
             source,
-            options=FlowOptions(
-                mapper=MapperOptions(enable_sharing=False, **kwargs)
-            ),
+            options=FlowOptions(mapper=MapperOptions(enable_sharing=False)),
         ).mapping
 
-    def test_same_best_area_smaller_search(self):
-        indexed = self._map(candidate_index=True)
-        legacy = self._map(candidate_index=False)
+    def test_same_best_area_smaller_search(self, use_oracle):
+        indexed = self._map()
+        use_oracle()
+        legacy = self._map()
         assert indexed.estimate.area == pytest.approx(legacy.estimate.area)
         # The tighter bound cuts subtrees earlier, so the indexed
         # search never visits more nodes (a branch pruned at its root
@@ -110,22 +115,18 @@ class TestMinAreaMemoBound:
 
 
 class TestIndexMechanics:
-    def _mapper(self, **kwargs):
+    def _mapper(self):
         from repro.compiler import compile_design
 
         design = compile_design(biquad_filter.VASS_SOURCE)
-        sfg = design.sfgs[0]
-        return ArchitectureMapper(
-            sfg, options=MapperOptions(**kwargs)
-        )
+        return ArchitectureMapper(design.sfgs[0])
 
     def test_enumerates_each_root_once(self):
-        mapper = self._mapper(candidate_index=True)
+        mapper = self._mapper()
         registry = metrics()
         calls_before = registry.counter("patterns.candidate_calls")
         mapper.run()
         index = mapper._index
-        assert index is not None
         # One matcher enumeration per distinct root, by construction.
         assert (
             registry.counter("patterns.candidate_calls") - calls_before
@@ -137,13 +138,13 @@ class TestIndexMechanics:
         registry = metrics()
         hits_before = registry.counter("mapper.index.hits")
         misses_before = registry.counter("mapper.index.misses")
-        self._mapper(candidate_index=True).run()
+        self._mapper().run()
         assert registry.counter("mapper.index.misses") > misses_before
         # Any search deeper than one node re-queries enumerated roots.
         assert registry.counter("mapper.index.hits") >= hits_before
 
     def test_cover_uncover_roundtrip(self):
-        mapper = self._mapper(candidate_index=True)
+        mapper = self._mapper()
         index = mapper._index
         root = mapper.sfg.block(max(mapper._initial_pending()))
         full = index.candidates(root)
@@ -154,8 +155,3 @@ class TestIndexMechanics:
         assert all(not (m.cone & cone) for m in filtered)
         index.uncover(cone)
         assert index.candidates(root) == full
-
-    def test_index_off_has_no_index(self):
-        mapper = self._mapper(candidate_index=False)
-        assert mapper._index is None
-        assert mapper._area_by_match is None
